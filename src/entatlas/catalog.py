@@ -11,7 +11,9 @@ every intermediate value.  Amplitudes are substituted first, so all
 intermediates are small polynomials in the 8 base variables.  The hot
 path uses a ground-form-specialized transvection (the left operand of
 every catalog transvection is the ground form A); its agreement with the
-literal Omega-process implementation is pinned by tests.
+literal Omega-process implementation is pinned by tests.  The composite
+vectors build no product polynomial: a product's bit is the conjunction of
+its factors' bits (``EvalSession._product_bit``).
 """
 
 from __future__ import annotations
@@ -247,6 +249,7 @@ class EvalSession:
         self.ground = to_ground_form(state)
         self._values = {GROUND_ID: self.ground}
         self._slices = {}
+        self._bold_F = None
         self.min_margin = float("inf")
 
     # Derivative slices of the multilinear ground form.  Selector per site:
@@ -384,38 +387,44 @@ class EvalSession:
             acc = _add_raw(acc, self.eval(name).terms)
         return Polynomial(acc)
 
-    def _product(self, polys) -> Polynomial:
-        acc = Polynomial.constant(1)
-        for p in polys:
-            if p.is_zero():
-                return Polynomial.zero()
-            acc = acc * p
-        return acc
+    def _product_bit(self, factors) -> int:
+        """The bit of the product of ``factors``, decided without forming it.
+
+        Exact mode: the bit is the conjunction of the factor bits.  Q[x] and
+        Q(i)[x] are integral domains, so a product is nonzero if and only if
+        every factor is nonzero; the conjunction therefore equals the exact
+        nonzero test of the literal product.  Float mode: the bit is the
+        minimum of the factor bits, each decided by ``_poly_bit`` at the
+        session tolerance (and each recording its margin).
+        """
+        return min(self._poly_bit(p) for p in factors)
 
     def vector_V(self) -> tuple:
         cs = ["C_3111", "C_1311", "C_1131", "C_1113"]
-        parts = [
-            self.eval("A"),
-            self._sum(["B_2200", "B_2020", "B_2002", "B_0220", "B_0202", "B_0022"]),
-            self._sum(cs),
-            self._product([self.eval(c) for c in cs]),
-            self._sum(["D_4000", "D_0400", "D_0040", "D_0004"]),
-            self._sum(["D_2200", "D_2020", "D_2002", "D_0220", "D_0202", "D_0022"]),
-            self._sum(["F1_2220", "F1_2202", "F1_2022", "F1_0222"]),
-            self._sum(["L_6000", "L_0600", "L_0060", "L_0006"]),
-        ]
-        return tuple(self._poly_bit(p) for p in parts)
+        bit = self._poly_bit
+        return (
+            bit(self.eval("A")),
+            bit(self._sum(["B_2200", "B_2020", "B_2002", "B_0220", "B_0202", "B_0022"])),
+            bit(self._sum(cs)),
+            self._product_bit([self.eval(c) for c in cs]),
+            bit(self._sum(["D_4000", "D_0400", "D_0040", "D_0004"])),
+            bit(self._sum(["D_2200", "D_2020", "D_2002", "D_0220", "D_0202", "D_0022"])),
+            bit(self._sum(["F1_2220", "F1_2202", "F1_2022", "F1_0222"])),
+            bit(self._sum(["L_6000", "L_0600", "L_0060", "L_0006"])),
+        )
 
-    def bold_F(self):
-        """The six paired degree-6 sums F_{**00} .. F_{00**}."""
-        return [
-            self._sum(["F_4200", "F_2400"]),
-            self._sum(["F_4020", "F_2040"]),
-            self._sum(["F_4002", "F_2004"]),
-            self._sum(["F_0420", "F_0240"]),
-            self._sum(["F_0402", "F_0204"]),
-            self._sum(["F_0042", "F_0024"]),
-        ]
+    def bold_F(self) -> list:
+        """The six paired degree-6 sums F_{**00} .. F_{00**} (built once)."""
+        if self._bold_F is None:
+            self._bold_F = [
+                self._sum(["F_4200", "F_2400"]),
+                self._sum(["F_4020", "F_2040"]),
+                self._sum(["F_4002", "F_2004"]),
+                self._sum(["F_0420", "F_0240"]),
+                self._sum(["F_0402", "F_0204"]),
+                self._sum(["F_0042", "F_0024"]),
+            ]
+        return self._bold_F
 
     def vector_Vpp(self) -> tuple:
         bits = [self._poly_bit(p) for p in self.bold_F()]
@@ -433,8 +442,8 @@ class EvalSession:
         over_2 = f42 - bf[2] - bf[3]
         return (
             self._poly_bit(f42),
-            self._poly_bit(self._product([over_0, over_1, over_2])),
-            self._poly_bit(self._product(bf)),
+            self._product_bit([over_0, over_1, over_2]),
+            self._product_bit(bf),
         )
 
 

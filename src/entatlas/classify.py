@@ -57,64 +57,70 @@ class OrbitRecord:
         self.note = rec.get("note")
 
 
+def _memoized(build):
+    """A read-only property whose value ``build`` computes once per instance.
+
+    It stays a plain ``property`` (a data descriptor on the class), so code
+    that wraps the class's properties, such as the benchmark's tracer, sees
+    every access.
+    """
+    slot = "_" + build.__name__
+
+    def get(self):
+        value = self.__dict__.get(slot)
+        if value is None:
+            value = self.__dict__[slot] = build(self)
+        return value
+
+    return property(get, doc=build.__doc__)
+
+
 class _Golden:
-    """Lazy holder for the golden tables and orbit records."""
+    """Lazy holder for the golden tables, orbit records and their lookups."""
 
-    def __init__(self):
-        self._tables = None
-        self._orbits = None
-        self._perm_types = None
+    @_memoized
+    def tables(self) -> dict:
+        return _load_json("tables.json")
 
-    @property
-    def tables(self):
-        if self._tables is None:
-            self._tables = _load_json("tables.json")
-        return self._tables
-
-    @property
+    @_memoized
     def orbits(self) -> dict:
-        if self._orbits is None:
-            self._orbits = {
-                rec["label"]: OrbitRecord(rec) for rec in _load_json("orbits.json")["records"]
-            }
-        return self._orbits
-
-    @property
-    def t_lookup(self) -> dict:
-        t = self.tables
         return {
-            tuple(b for row in rows for b in row): int(label)
-            for label, rows in t["evaluation_blocks"].items()
+            rec["label"]: OrbitRecord(rec) for rec in _load_json("orbits.json")["records"]
         }
 
-    @property
+    @_memoized
+    def t_lookup(self) -> dict:
+        return {
+            tuple(b for row in rows for b in row): int(label)
+            for label, rows in self.tables["evaluation_blocks"].items()
+        }
+
+    @_memoized
     def v_lookup(self) -> dict:
         return {tuple(bits): name for name, bits in self.tables["strata_V"].items()}
 
-    @property
+    @_memoized
     def vp_lookup(self) -> dict:
         return {
             tuple(row["vprime"]): (int(label), row["stratum"])
             for label, row in self.tables["vprime_classes"].items()
         }
 
-    @property
+    @_memoized
     def vpp_lookup(self) -> dict:
         return {
             tuple(row["vpp"]): (int(label), row["stratum"])
             for label, row in self.tables["vpp_classes"].items()
         }
 
-    @property
+    @_memoized
     def w_lookup(self) -> dict:
         return {tuple(bits): name for name, bits in self.tables["strata_W"].items()}
 
-    @property
+    @_memoized
     def perm_types(self) -> dict:
-        if self._perm_types is None:
-            raw = _load_json("permutation_types.json")
-            self._perm_types = {int(k): v for k, v in raw["types"].items()}
-        return self._perm_types
+        raw = _load_json("permutation_types.json")
+        return {int(k): v for k, v in raw["types"].items()}
 
 
 GOLDEN = _Golden()
@@ -197,6 +203,11 @@ def classify_nullcone(s: State, catalog: Catalog | None = None) -> Classificatio
         or _nonzero(inv_D(s, "xy"), s, 6)
     ):
         raise ClassifyFail("state is not nilpotent")
+    return _nullcone_lookup(s, catalog)
+
+
+def _nullcone_lookup(s: State, catalog: Catalog) -> ClassificationResult:
+    """The T/V table lookup for a state already known to be nilpotent."""
     sess = catalog.session(s)
     sig = catalog.vector_T(s)
     label = GOLDEN.t_lookup.get(sig)
@@ -222,7 +233,8 @@ def _secant_branch(s, catalog, extended):
     mode = "float" if sess.float_mode else "exact"
     if not B:
         if not Dxy:
-            return classify_nullcone(s, catalog)
+            # L, M, B and D_xy all vanish: the state is nilpotent.
+            return _nullcone_lookup(s, catalog)
         return _result(59777, {"B": (0,), "Dxy": (1,)}, mode=mode,
                        confidence=sess.confidence())
     if not Dxy:

@@ -12,6 +12,7 @@ from entatlas.catalog import (
     catalog_file_sha256,
     split_T,
 )
+from entatlas.classify import GOLDEN, orbit_records
 from entatlas.qstate import apply_local, decode_form, random_sl2_tuple, random_state
 from entatlas.poly import Polynomial, x
 
@@ -160,3 +161,45 @@ def test_b0000_matches_parity_formula(catalog):
             for b in range(16)
         )
         assert 2 * val == explicit
+
+
+def _literal_product(polys):
+    acc = Polynomial.constant(1)
+    for p in polys:
+        acc = acc * p
+    return acc
+
+
+def test_product_bits_match_literal_products(catalog):
+    """The V bit of C_3111·C_1311·C_1131·C_1113 and the W bits of
+    over_0·over_1·over_2 and of the six bold-F sums are decided as the
+    conjunction of the factor bits; each must equal the nonzero test of the
+    literal product.  States: the normal form of every T_V-branch (nilpotent)
+    and Vpp_W-branch class, and two SL2^4 images of each.  Site degrees of
+    these products stay <= 12, inside the 4-bit exponent field."""
+    records = orbit_records()
+    branches = [(label, "V") for label in GOLDEN.tables["nullcone_class_list"] if label]
+    branches += [(int(label), "W") for label in GOLDEN.tables["vpp_classes"]]
+    seen = {"V": set(), "W_over": set(), "W_F": set()}
+    for label, vector in branches:
+        nf = records[label].normal_form
+        for s in [nf] + [apply_local(random_sl2_tuple(label * 100 + i), nf) for i in range(2)]:
+            sess = catalog.session(s)
+            if vector == "V":
+                cs = [sess.eval(c) for c in ("C_3111", "C_1311", "C_1131", "C_1113")]
+                literal = int(not _literal_product(cs).is_zero())
+                assert sess.vector_V()[3] == literal, (label, s)
+                seen["V"].add(literal)
+                continue
+            bf = sess.bold_F()
+            f42 = sum(bf, Polynomial.zero())
+            overs = [f42 - bf[0] - bf[5], f42 - bf[1] - bf[4], f42 - bf[2] - bf[3]]
+            literal = (
+                int(not _literal_product(overs).is_zero()),
+                int(not _literal_product(bf).is_zero()),
+            )
+            assert sess.vector_W()[1:] == literal, (label, s)
+            seen["W_over"].add(literal[0])
+            seen["W_F"].add(literal[1])
+    # Each bit is exercised both ways, so the comparison cannot pass vacuously.
+    assert all(bits == {0, 1} for bits in seen.values()), seen

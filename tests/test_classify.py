@@ -221,6 +221,21 @@ def test_float_mode_classification():
     assert r.confidence in ("high", "low")
 
 
+def test_float_mode_normal_forms():
+    """Every nonzero normal form, with float amplitudes, gets its exact label
+    from the extended classifier; this pins the float-mode product bits (the
+    minimum of the factor bits) on every branch."""
+    bad = []
+    for label, rec in sorted(orbit_records().items()):
+        if label == 0:
+            continue
+        s = State([float(a) for a in rec.normal_form.amps])
+        r = classify_secant3_extended(s)
+        if r.label != label or r.mode != "float":
+            bad.append((label, r.label, r.mode))
+    assert not bad
+
+
 def test_gaussian_amplitudes_classify(ghz):
     s = State([GaussianRational(0, 1) * a for a in ghz.amps])
     assert classify(s).label == 65534
