@@ -5,8 +5,15 @@ Class discovery evaluates a covariant signature on each filtered form and
 partitions by signature.  The default basis is the summary list that the
 printed evaluation tables use (the T vector extended with the invariant
 bits and the degree-6 covariants feeding V''); the full 170-entry catalog
-is available behind ``basis="full"``.  Enumeration parallelizes over
-forms with multiprocessing; ENTATLAS_THREADS caps the pool.
+is available behind ``basis="full"``.
+
+Both census steps work on bit-flip orbits: a flip X_k swaps |0> and |1>
+on site k, the 16 products of flips split the 65536 forms into 4336
+orbits, and every invariant bit and covariant nullity is constant on an
+orbit (proof in ``signatures_for``).  So ``enumerate_forms`` runs its
+filter and ``signatures_for`` computes a signature once per orbit.
+Signatures of 256 or more orbits are spread over a process pool;
+ENTATLAS_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 from .catalog import EXTENDED_T_IDS, T_IDS, build_catalog
 from .classify import GOLDEN, IntegrityError
 from .invariants import inv_B, inv_D, inv_L, inv_M
-from .qstate import decode_form
+from .qstate import check_form, decode_form
 
 _GR3PP = frozenset({65267, 65509, 65507, 65269, 65510, 65231})
 
@@ -41,15 +48,46 @@ def secant3_filter(s) -> bool:
     return bits[1] == 0 and bits[2] == 0
 
 
-_FILTERS = {"nullcone": nullcone_filter, "secant3": secant3_filter, "all": lambda s: True}
+_FILTERS = {"nullcone": nullcone_filter, "secant3": secant3_filter}
 
 
-def enumerate_forms(filter_spec="all", processes: int | None = None) -> list:
-    """All n in 0..65535 whose decoded state satisfies the filter."""
-    pred = _FILTERS[filter_spec] if isinstance(filter_spec, str) else filter_spec
-    if pred is _FILTERS["all"]:
+def enumerate_forms(filter_spec="all") -> list:
+    """All n in 0..65535 whose decoded state passes the named filter
+    ("all", "nullcone" or "secant3").
+
+    The filter runs once per bit-flip orbit, on its least member, and the
+    verdict holds for the whole orbit: both filters test only the nullity
+    of B, L, M and D_xy, which flips preserve (see ``signatures_for``).
+    """
+    if filter_spec == "all":
         return list(range(65536))
-    return [n for n in range(65536) if pred(decode_form(n))]
+    pred = _FILTERS[filter_spec]
+    verdict = bytearray(65536)  # 0 not yet seen, 1 dropped, 2 kept
+    for n in range(65536):
+        if not verdict[n]:  # n is the least member of a new orbit
+            v = 2 if pred(decode_form(n)) else 1
+            for m in _flip_images(n):
+                verdict[m] = v
+    return [n for n in range(65536) if verdict[n] == 2]
+
+
+_FLIP_MASKS = ((0x5555, 1), (0x3333, 2), (0x0F0F, 4), (0x00FF, 8))
+
+
+def _flip_images(n: int) -> list:
+    """The images of form n under the 16 products of bit flips, one per
+    product (with repeats when n is fixed by some flip).  Flipping site k
+    moves the amplitude at index b to b ^ 2**(k-1), which swaps the bit
+    groups that the k-th mask selects."""
+    images = [n]
+    for mask, shift in _FLIP_MASKS:
+        images += [((m & mask) << shift) | ((m >> shift) & mask) for m in images]
+    return images
+
+
+def _flip_key(n: int) -> int:
+    """The least member of the bit-flip orbit of form n."""
+    return min(_flip_images(check_form(n)))
 
 
 @dataclass
@@ -115,20 +153,44 @@ def _pool_size(processes):
 
 
 def signatures_for(forms, basis="extended", processes: int | None = None) -> dict:
-    """n -> (invariant bits + covariant signature) for every form, in parallel."""
-    nproc = _pool_size(processes)
-    forms = list(forms)
-    if nproc <= 1 or len(forms) < 256:
-        return dict(_signature_worker((forms, basis)))
-    import multiprocessing as mp
+    """n -> (invariant bits + covariant signature) for every form.
 
-    chunks = [forms[i::nproc] for i in range(nproc)]
-    with mp.Pool(nproc) as pool:
-        parts = pool.map(_signature_worker, [(c, basis) for c in chunks])
-    out = {}
-    for part in parts:
-        out.update(part)
-    return out
+    The forms are grouped by bit-flip orbit; the signature is computed on
+    the first member of each group and copied to the others.  The process
+    pool is used when there are 256 or more groups.
+
+    Why the copy is exact.  Every catalog covariant C is built by
+    transvection from the ground form A, so it is an SL2^4 covariant,
+    homogeneous of some degree d in the amplitudes.  Over the complex
+    numbers, any g in GL2^4 factors sitewise as g_k = l_k h_k with
+    l_k^2 = det g_k and h_k in SL2, so g.A = l (h.A) with
+    l = l_1 l_2 l_3 l_4, and C(g.A) = l^d C(h.A) = l^d C(A) o h^-1:
+    transvection is GL2^4-equivariant up to a power of det.  l^d is
+    nonzero and o h^-1 is an invertible linear change of variables, so
+    C(g.A) is zero exactly when C(A) is.  The invariants B, L, M and D_xy
+    are the order-zero case.  A flip X_k is in GL2, so every bit of the
+    signature is constant on a flip orbit.  (Qubit permutations are not
+    used: see the catalog notes.)
+    """
+    forms = list(forms)
+    keys = [_flip_key(n) for n in forms]
+    first = {}
+    for n, key in zip(forms, keys):
+        first.setdefault(key, n)
+    reps = list(first.values())
+    nproc = _pool_size(processes)
+    if nproc <= 1 or len(reps) < 256:
+        sig_of = dict(_signature_worker((reps, basis)))
+    else:
+        import multiprocessing as mp
+
+        chunks = [reps[i::nproc] for i in range(nproc)]
+        with mp.Pool(nproc) as pool:
+            parts = pool.map(_signature_worker, [(c, basis) for c in chunks])
+        sig_of = {}
+        for part in parts:
+            sig_of.update(part)
+    return {n: sig_of[first[key]] for n, key in zip(forms, keys)}
 
 
 def discover_classes(forms, basis="extended", processes: int | None = None) -> ClassTable:

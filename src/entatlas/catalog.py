@@ -14,6 +14,16 @@ every catalog transvection is the ground form A); its agreement with the
 literal Omega-process implementation is pinned by tests.  The composite
 vectors build no product polynomial: a product's bit is the conjunction of
 its factors' bits (``EvalSession._product_bit``).
+
+The basis is not closed under qubit permutations, so nullities need not
+follow one.  The degree-4 D_{2200} family is (A, C1_1111)^idx, and
+C1_1111 = (A, B_2200)^{1100} + (A, B_0022)^{0011} pairs sites 1 with 2 and
+3 with 4.  Swapping sites 2 and 4 sends C1_1111 to C2_1111, so it sends
+D_0220 = (A, C1_1111)^{1001} to (A, C2_1111)^{1100}, not to
+D_0022 = (A, C1_1111)^{1100}.  On form 7720, D_0220 vanishes while D_0022
+of its image does not.  The census therefore quotients by bit flips,
+which act inside GL2^4 (see ``atlas.signatures_for``), and not by qubit
+permutations.
 """
 
 from __future__ import annotations

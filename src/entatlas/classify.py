@@ -5,8 +5,9 @@ in the golden evaluation table; the secant classifier branches on the
 exact vanishing of L, M, B and D_xy, then separates classes with the V'
 and V'' vectors; the extended variant refines the B != 0, D_xy != 0
 branch with Z before consulting V'.  Table matching is exact: an
-in-domain signature that matches no golden row raises an integrity
-error rather than guessing.
+in-domain signature that matches no golden row, or a W vector that
+contradicts the stratum its V'' row names, raises an integrity error
+rather than guessing.
 
 Also here: orbit dimensions from the rank of the local Lie-algebra
 action, tangent-space ranks at separable points (secant defectivity),
@@ -243,7 +244,10 @@ def _secant_branch(s, catalog, extended):
         if hit is None:
             raise IntegrityError(f"V'' signature {vpp} matches no golden row")
         label, stratum = hit
-        return _result(label, {"Vpp": vpp, "W": sess.vector_W()}, stratum=stratum,
+        w = sess.vector_W()
+        if GOLDEN.w_lookup.get(w) != stratum:
+            raise IntegrityError(f"W signature {w} does not match stratum {stratum}")
+        return _result(label, {"Vpp": vpp, "W": w}, stratum=stratum,
                        mode=mode, confidence=sess.confidence())
     vp = catalog.vector_Vp(s)
     if extended:

@@ -412,26 +412,3 @@ def _coeff_str(c) -> str:
         return f"({s})" if "/" in s or "i" in s else s
     return str(c)
 
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def partial_derivative(p: Polynomial, v: VariableId) -> Polynomial:
-    return p.diff(v)
-
-
-def substitute(p: Polynomial, bindings: dict) -> Polynomial:
-    return p.substitute(bindings)
-
-
-def is_zero(p: Polynomial) -> bool:
-    return p.is_zero()
-
-
-def multidegree(p: Polynomial):
-    return p.multidegree()

@@ -98,25 +98,48 @@ class State:
         if "form" in doc:
             return decode_form(doc["form"])
         if "amplitudes" in doc:
-            raw = doc["amplitudes"]
-            if len(raw) != 16:
-                raise StateError("amplitudes must list 16 entries")
-            return cls(Fraction(n, d) for n, d in raw)
+            return cls(_fraction(p) for p in _entries(doc, "amplitudes"))
         if "amplitudes_c" in doc:
-            raw = doc["amplitudes_c"]
-            if len(raw) != 16:
-                raise StateError("amplitudes_c must list 16 entries")
             return cls(
-                GaussianRational(Fraction(re[0], re[1]), Fraction(im[0], im[1]))
-                for re, im in raw
+                GaussianRational(*map(_fraction, _pair(p, "[re, im]")))
+                for p in _entries(doc, "amplitudes_c")
             )
         raise StateError('state JSON needs "form", "amplitudes" or "amplitudes_c"')
 
 
+def _entries(doc: dict, key: str) -> list:
+    raw = doc[key]
+    if not isinstance(raw, list) or len(raw) != 16:
+        raise StateError(f"{key} must list 16 entries")
+    return raw
+
+
+def _pair(p, what: str) -> list:
+    if not isinstance(p, list) or len(p) != 2:
+        raise StateError(f"amplitude entry {p!r} is not a {what} pair")
+    return p
+
+
+def _fraction(p) -> Fraction:
+    """An exact rational from a JSON [numerator, denominator] pair."""
+    num, den = _pair(p, "[numerator, denominator]")
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (num, den)):
+        raise StateError(f"amplitude entry {p!r} is not a pair of integers")
+    if den == 0:
+        raise StateError(f"amplitude entry {p!r} has denominator 0")
+    return Fraction(num, den)
+
+
+def check_form(n) -> int:
+    """n itself, if it names a {0,1} form: an int (not a bool) in 0..65535."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= 65535:
+        raise StateError(f"form number must be in 0..65535, got {n!r}")
+    return n
+
+
 def decode_form(n: int) -> State:
     """The {0,1}-coefficient form named by n: amplitude at index b is bit b."""
-    if not isinstance(n, int) or not 0 <= n <= 65535:
-        raise StateError(f"form number must be in 0..65535, got {n!r}")
+    check_form(n)
     return State(tuple((n >> b) & 1 for b in range(16)))
 
 

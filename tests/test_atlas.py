@@ -1,10 +1,16 @@
 import json
+import random
 
 import pytest
 
+from entatlas import atlas
 from entatlas.atlas import (
     AdherenceGraph,
     Report,
+    _flip_images,
+    _flip_key,
+    _invariant_bits,
+    _signature_worker,
     adherence_order,
     discover_classes,
     enumerate_forms,
@@ -12,9 +18,11 @@ from entatlas.atlas import (
     graph_from_json,
     nullcone_filter,
     secant3_filter,
+    signatures_for,
     verify_tables,
 )
-from entatlas.qstate import decode_form
+from entatlas.catalog import EXTENDED_T_IDS
+from entatlas.qstate import LocalOperator, StateError, apply_local, decode_form, encode_form
 
 
 def test_enumerate_all():
@@ -29,6 +37,43 @@ def test_filters_on_known_forms():
     from entatlas.invariants import inv_L
     outside = next(n for n in range(1, 65536) if inv_L(decode_form(n)) != 0)
     assert not secant3_filter(decode_form(outside))
+
+
+def test_flip_key_orbits():
+    """The 65536 forms fall into 4336 bit-flip orbits; each key is the least
+    member of its orbit, and the masks act as the local flips X_k."""
+    keys = {_flip_key(n) for n in range(65536)}
+    assert len(keys) == 4336
+    assert _flip_key(1 << 15) == 1 and _flip_key(65535) == 65535
+    flip, eye = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+    n = 59520
+    for k in range(4):
+        g = LocalOperator(*(flip if j == k else eye for j in range(4)))
+        assert encode_form(apply_local(g, decode_form(n))) == _flip_images(n)[1 << k]
+    images = set(_flip_images(n))
+    assert {_flip_key(m) for m in images} == {min(images)}
+    for bad in (-1, 65536, True, 1.0):
+        with pytest.raises(StateError):
+            _flip_key(bad)
+
+
+def _whole_orbits(count, seed):
+    keys = sorted({_flip_key(n) for n in range(65536)})
+    picked = random.Random(seed).sample(keys, count)
+    return [m for key in picked for m in sorted(set(_flip_images(key)))]
+
+
+def test_signatures_for_quotient_matches_direct(catalog):
+    """One signature per flip orbit equals the per-form signature on every
+    member of a seeded sample of whole orbits."""
+    forms = _whole_orbits(6, seed=3)
+    random.Random(4).shuffle(forms)
+    got = signatures_for(forms, processes=1)
+    assert list(got) == forms
+    for n in forms:
+        s = decode_form(n)
+        assert got[n] == _invariant_bits(s) + catalog.signature(s, EXTENDED_T_IDS), n
+    assert len(set(got.values())) > 1
 
 
 def test_discover_singleton_zero():
@@ -106,3 +151,27 @@ def test_full_catalog_basis_agrees_on_sample(secant_table):
     assert set(map(frozenset, default_partition.values())) == set(
         map(frozenset, full_partition.values())
     )
+
+
+@pytest.mark.slow
+def test_orbit_census_matches_direct_census(secant_table, monkeypatch):
+    """The census over flip orbits equals the per-form census on all 65536
+    forms: both filters, then the partition and representatives of the
+    secant3 forms."""
+    import multiprocessing as mp
+
+    bits = {n: _invariant_bits(decode_form(n)) for n in range(65536)}
+    assert enumerate_forms("nullcone") == [n for n, b in bits.items() if b == (0, 0, 0, 0)]
+    direct_forms = [n for n, b in bits.items() if b[1] == b[2] == 0]
+    forms, table = secant_table
+    assert forms == direct_forms
+
+    def direct_signatures(forms, basis="extended", processes=None):
+        with mp.get_context("spawn").Pool(2) as pool:
+            parts = pool.map(_signature_worker, [(forms[i::2], basis) for i in range(2)])
+        return {n: sig for part in parts for n, sig in part}
+
+    monkeypatch.setattr(atlas, "signatures_for", direct_signatures)
+    direct = discover_classes(forms)
+    assert direct.classes == table.classes
+    assert direct.representatives == table.representatives

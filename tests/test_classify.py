@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from entatlas.catalog import EvalSession
 from entatlas.classify import (
+    GOLDEN,
     ClassifyFail,
+    IntegrityError,
     classify,
     classify_nullcone,
     classify_secant3,
@@ -108,6 +111,34 @@ def test_flipped_59520_class_unchanged():
     g = LocalOperator(flip, flip, flip, flip)
     s = decode_form(59520)
     assert classify(apply_local(g, s)).label == classify(s).label == 59520
+
+
+def _vpp_normal_forms():
+    for label_s, row in sorted(GOLDEN.tables["vpp_classes"].items()):
+        yield int(label_s), row["stratum"], orbit_records()[int(label_s)].normal_form
+
+
+def test_w_vector_matches_vpp_stratum():
+    """Each V''/W normal form passes the W check: its W vector is the
+    strata_W row of the stratum its V'' row names."""
+    for label, gr, s in _vpp_normal_forms():
+        r = classify_secant3(s)
+        assert (r.label, r.stratum) == (label, gr)
+        assert list(r.signatures["W"]) == GOLDEN.tables["strata_W"][gr]
+
+
+def test_w_vector_mismatch_raises(monkeypatch):
+    """A W vector that contradicts the V'' stratum is an integrity error,
+    whether it is another stratum's row or no row at all."""
+    rows = GOLDEN.tables["strata_W"]
+    forms = list(_vpp_normal_forms())
+    for wrong in [tuple(bits) for bits in rows.values()] + [(0, 1, 1)]:
+        monkeypatch.setattr(EvalSession, "vector_W", lambda self, w=wrong: w)
+        for label, gr, s in forms:
+            if wrong == tuple(rows[gr]):
+                continue
+            with pytest.raises(IntegrityError, match="W signature"):
+                classify_secant3(s)
 
 
 def test_permutation_covariance():

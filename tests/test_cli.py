@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from entatlas.cli import main
 from entatlas.invariants import inv_L
 from entatlas.qstate import decode_form
@@ -67,6 +69,33 @@ def test_classify_malformed_file(tmp_path, capsys):
     path.write_text("{oops")
     code, _, err = run(capsys, "classify", "--in", str(path))
     assert code == 1
+
+
+def _amplitudes(entry, rest=(0, 1)):
+    return json.dumps({"amplitudes": [entry] + [list(rest)] * 15})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"form": true}',
+        _amplitudes([1, 0]),
+        '{"amplitudes": 5}',
+        _amplitudes([1.5, 2]),
+        _amplitudes("1/2"),
+        _amplitudes([1, 2, 3]),
+        _amplitudes([True, 1]),
+        json.dumps({"amplitudes_c": [[[1, 1], [0, 1]]] * 15 + [[1, 1]]}),
+    ],
+    ids=["form-bool", "zero-denominator", "amplitudes-not-list", "float-entry",
+         "string-entry", "triple-entry", "bool-entry", "complex-entry-not-pairs"],
+)
+def test_classify_malformed_state_json(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error:")
 
 
 def test_invariants_ghz_style(capsys):
