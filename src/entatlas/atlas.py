@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .catalog import EXTENDED_T_IDS, T_IDS, build_catalog
+from .catalog import EXTENDED_T_IDS, T_IDS, VPRIME_IDS, build_catalog, split_T
 from .classify import GOLDEN, IntegrityError
 from .invariants import inv_B, inv_D, inv_L, inv_M
 from .qstate import check_form, decode_form
@@ -44,8 +44,7 @@ def nullcone_filter(s) -> bool:
 
 
 def secant3_filter(s) -> bool:
-    bits = _invariant_bits(s)
-    return bits[1] == 0 and bits[2] == 0
+    return not inv_L(s) and not inv_M(s)
 
 
 _FILTERS = {"nullcone": nullcone_filter, "secant3": secant3_filter}
@@ -320,14 +319,20 @@ class Report:
 def verify_tables(catalog=None) -> Report:
     """Recompute every printed evaluation block and diff against the golden
     transcriptions; mismatches become report content, not exceptions."""
-    from .catalog import split_T
-
     catalog = catalog or build_catalog()
+    sessions = {}
+
+    def session(n):
+        """The one evaluation session of form n, shared by all its checks."""
+        if n not in sessions:
+            sessions[n] = catalog.session(decode_form(n))
+        return sessions[n]
+
     tables = GOLDEN.tables
     report = Report()
     for label_s, rows in tables["evaluation_blocks"].items():
         n = int(label_s)
-        got = split_T(catalog.vector_T(decode_form(n)))
+        got = split_T(session(n).signature(T_IDS))
         want = [list(r) for r in rows]
         report.add(f"blocks[{n}]", got == want, "" if got == want else f"{got} != {want}")
     strata = {}
@@ -337,25 +342,25 @@ def verify_tables(catalog=None) -> Report:
         for label in sorted(strata.get(gr, [])):
             if label == 0:
                 continue
-            got = list(catalog.vector_V(decode_form(label)))
+            got = list(session(label).vector_V())
             report.add(f"strata_V[{gr}][{label}]", got == list(want),
                        "" if got == list(want) else f"{got} != {list(want)}")
-    got = list(catalog.vector_V(decode_form(0)))
+    got = list(session(0).vector_V())
     report.add("strata_V[Gr_0][0]", got == tables["strata_V"]["Gr_0"])
     for label_s, row in tables["vprime_classes"].items():
         n = int(label_s)
-        got = list(catalog.vector_Vp(decode_form(n)))
+        got = list(session(n).signature(VPRIME_IDS))
         report.add(f"vprime[{n}]", got == row["vprime"],
                    "" if got == row["vprime"] else f"{got} != {row['vprime']}")
     for label_s, row in tables["vpp_classes"].items():
         n = int(label_s)
-        got = list(catalog.vector_Vpp(decode_form(n)))
+        got = list(session(n).vector_Vpp())
         report.add(f"vpp[{n}]", got == row["vpp"],
                    "" if got == row["vpp"] else f"{got} != {row['vpp']}")
     for label_s, row in tables["vpp_classes"].items():
         n = int(label_s)
         want = tables["strata_W"][row["stratum"]]
-        got = list(catalog.vector_W(decode_form(n)))
+        got = list(session(n).vector_W())
         report.add(f"W[{row['stratum']}][{n}]", got == want,
                    "" if got == want else f"{got} != {want}")
     return report

@@ -1,19 +1,23 @@
 """The covariant catalog: a data-driven dependency DAG of transvections.
 
 The catalog ships as ``data/covariants.txt`` (hash-pinned) and is parsed
-and validated here: every entry's declared multidegree must match the
-sitewise degree law of each of its summands, references must point to
+and validated here: every term must have the shape (A, X)^idx with idx in
+{0,1}^4, every entry's declared multidegree must match the sitewise
+degree law of each of its summands, references must point to
 already-defined entries, and the per-degree census must match the known
 counts (170 covariants in degrees 1..12).
 
 ``EvalSession`` evaluates covariants on one concrete state, memoizing
 every intermediate value.  Amplitudes are substituted first, so all
-intermediates are small polynomials in the 8 base variables.  The hot
-path uses a ground-form-specialized transvection (the left operand of
-every catalog transvection is the ground form A); its agreement with the
-literal Omega-process implementation is pinned by tests.  The composite
-vectors build no product polynomial: a product's bit is the conjunction of
-its factors' bits (``EvalSession._product_bit``).
+intermediates are small polynomials in the 8 base variables.  Because of
+the validated term shape, one kernel evaluates every term: the
+ground-form-specialized transvection ``EvalSession._transvect_ground``,
+pinned against the literal Omega process (``transvect.transvect``) by
+tests.  ``Catalog.session`` hands out a new session on every call and
+the catalog keeps none, so a caller that reads one state several times
+holds its session, and states evaluate independently in parallel.  The
+composite vectors build no product polynomial: a product's bit is the
+conjunction of its factors' bits (``EvalSession._product_bit``).
 
 The basis is not closed under qubit permutations, so nullities need not
 follow one.  The degree-4 D_{2200} family is (A, C1_1111)^idx, and
@@ -36,7 +40,7 @@ from importlib import resources
 
 from .poly import _FIELD, _W, Polynomial, _add_raw, _mul_raw, _scale_raw
 from .qstate import State, to_ground_form
-from .transvect import TransvectionError, transvect_fast
+from .transvect import TransvectionError
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
@@ -120,7 +124,6 @@ class Catalog:
     def __init__(self, defs):
         self.order = [d.cid for d in defs]
         self.defs = {d.cid: d for d in defs}
-        self._sessions = {}
         self._validate()
 
     def __contains__(self, cid):
@@ -145,6 +148,11 @@ class Catalog:
                 continue
             adegs = set()
             for coef, lhs, rhs, idx in d.terms:
+                if lhs != GROUND_ID or max(idx) > 1:
+                    raise CatalogError(
+                        f"{cid}: term ({lhs},{rhs})^{idx} is not of the form "
+                        f"(A, X)^idx with idx in {{0,1}}^4"
+                    )
                 for ref in (lhs, rhs):
                     if ref not in resolved:
                         raise CatalogError(
@@ -176,27 +184,19 @@ class Catalog:
 
     # -- evaluation ----------------------------------------------------------
 
+    # The methods below taking a state are one-shot helpers: each opens a
+    # new session, so a caller reading one state several times should
+    # hold ``session(state)`` instead.
+
     def session(self, state: State, tolerance=None) -> "EvalSession":
-        # 1.0 == 1 would let an approximate-mode state collide with the
-        # exact-mode session of the same amplitudes; key the mode in.
-        key = (state.amps, any(isinstance(a, float) for a in state.amps), tolerance)
-        sess = self._sessions.get(key)
-        if sess is None:
-            sess = EvalSession(self, state, tolerance=tolerance)
-            if len(self._sessions) >= 32:
-                self._sessions.pop(next(iter(self._sessions)))
-            self._sessions[key] = sess
-        return sess
+        """A new evaluation session on ``state``."""
+        return EvalSession(self, state, tolerance=tolerance)
 
     def eval_covariant(self, cid, state: State) -> Polynomial:
         return self.session(state).eval(cid)
 
-    def nullity(self, cid, state: State) -> int:
-        return self.session(state).nullity(cid)
-
     def signature(self, state: State, cids) -> tuple:
-        sess = self.session(state)
-        return tuple(sess.nullity(cid) for cid in cids)
+        return self.session(state).signature(cids)
 
     def vector_T(self, state: State) -> tuple:
         return self.signature(state, T_IDS)
@@ -347,12 +347,8 @@ class EvalSession:
         if d is None:
             raise CatalogError(f"unknown covariant id {cid}")
         acc: dict = {}
-        for coef, lhs, rhs, idx in d.terms:
-            rhs_val = self.eval(rhs)
-            if lhs == GROUND_ID and all(i <= 1 for i in idx):
-                tv = self._transvect_ground(rhs_val, idx)
-            else:
-                tv = transvect_fast(self.eval(lhs), rhs_val, idx)
+        for coef, _, rhs, idx in d.terms:  # validated: every term is (A, rhs)^idx
+            tv = self._transvect_ground(self.eval(rhs), idx)
             if coef != 1:
                 if coef == -1:
                     acc = _add_raw(acc, {k: -c for k, c in tv.terms.items()})
@@ -382,6 +378,9 @@ class EvalSession:
 
     def nullity(self, cid) -> int:
         return self._poly_bit(self.eval(cid))
+
+    def signature(self, cids) -> tuple:
+        return tuple(self.nullity(cid) for cid in cids)
 
     def confidence(self) -> str:
         """Approximate-mode decision margin ("exact" in exact mode)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .catalog import Catalog, build_catalog
+from .catalog import T_IDS, VPRIME_IDS, Catalog, EvalSession, build_catalog
 from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z
 from .qstate import State, StateError, decode_form
 from .scalars import GaussianRational
@@ -204,13 +204,12 @@ def classify_nullcone(s: State, catalog: Catalog | None = None) -> Classificatio
         or _nonzero(inv_D(s, "xy"), s, 6)
     ):
         raise ClassifyFail("state is not nilpotent")
-    return _nullcone_lookup(s, catalog)
+    return _nullcone_lookup(catalog.session(s))
 
 
-def _nullcone_lookup(s: State, catalog: Catalog) -> ClassificationResult:
+def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
     """The T/V table lookup for a state already known to be nilpotent."""
-    sess = catalog.session(s)
-    sig = catalog.vector_T(s)
+    sig = sess.signature(T_IDS)
     label = GOLDEN.t_lookup.get(sig)
     if label is None:
         raise IntegrityError(f"nilpotent state with unknown T signature {sig}")
@@ -235,11 +234,11 @@ def _secant_branch(s, catalog, extended):
     if not B:
         if not Dxy:
             # L, M, B and D_xy all vanish: the state is nilpotent.
-            return _nullcone_lookup(s, catalog)
+            return _nullcone_lookup(sess)
         return _result(59777, {"B": (0,), "Dxy": (1,)}, mode=mode,
                        confidence=sess.confidence())
     if not Dxy:
-        vpp = catalog.vector_Vpp(s)
+        vpp = sess.vector_Vpp()
         hit = GOLDEN.vpp_lookup.get(vpp)
         if hit is None:
             raise IntegrityError(f"V'' signature {vpp} matches no golden row")
@@ -249,7 +248,7 @@ def _secant_branch(s, catalog, extended):
             raise IntegrityError(f"W signature {w} does not match stratum {stratum}")
         return _result(label, {"Vpp": vpp, "W": w}, stratum=stratum,
                        mode=mode, confidence=sess.confidence())
-    vp = catalog.vector_Vp(s)
+    vp = sess.signature(VPRIME_IDS)
     if extended:
         if _nonzero(inv_Z(s), s, 6):
             return _result(65257, {"Vp": vp, "Z": (1,)}, mode=mode,

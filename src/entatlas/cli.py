@@ -23,7 +23,7 @@ from .atlas import (
 )
 from .catalog import CatalogError, CovariantId, build_catalog
 from .classify import ClassifyFail, IntegrityError, classify
-from .invariants import all_invariants
+from .invariants import all_invariants, hyperdet_delta, inv_B, inv_D, inv_L, inv_M, inv_Z
 from .qstate import State, StateError, decode_form
 from .scalars import GaussianRational, format_rational
 
@@ -58,14 +58,16 @@ def _fmt_scalar(v) -> str:
     return format_rational(v)
 
 
+# The invariants printed beside a classification (no I2: it needs L_6000).
+_CLASSIFY_INVARIANTS = {
+    "B": inv_B, "L": inv_L, "M": inv_M, "Dxy": inv_D, "Delta": hyperdet_delta, "Z": inv_Z,
+}
+
+
 def cmd_classify(args) -> int:
     s = _read_state(args)
     result = classify(s, extended=args.extended)
-    inv = {
-        k: _fmt_scalar(v)
-        for k, v in all_invariants(s).items()
-        if k in ("B", "L", "M", "Dxy", "Delta", "Z")
-    }
+    inv = {k: _fmt_scalar(f(s)) for k, f in _CLASSIFY_INVARIANTS.items()}
     print(json.dumps(result.to_dict(invariants=inv), sort_keys=True))
     return EXIT_OK
 

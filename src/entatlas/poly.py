@@ -13,8 +13,10 @@ extraction.  That is 26 variables in a fixed order:
 
 A monomial is stored as a single Python integer holding one 4-bit exponent
 field per variable (index v occupies bits 4v..4v+3).  Multiplying two
-monomials is then integer addition; nothing in this package ever needs a
-single-variable exponent above 15, and debug assertions guard the bound.
+monomials is then integer addition.  Catalog evaluation never needs a
+single-variable exponent above 15, but nothing enforces the bound: an
+exponent of 16 carries silently into the next variable's field
+(``x1_0**16`` reads as ``x1_1``).
 A polynomial is a dict mapping monomial keys to nonzero coefficients; the
 zero polynomial is the empty dict.  Coefficients are ints when possible,
 otherwise Fraction or GaussianRational (or float in approximate mode).
@@ -158,14 +160,6 @@ def _diff_raw(a: dict, index: int) -> dict:
         if e:
             out[k - (1 << shift)] = c * e
     return out
-
-
-def _degrees_of_key(key: int) -> list:
-    degs = []
-    while key:
-        degs.append(key & _FIELD)
-        key >>= _W
-    return degs
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +325,6 @@ class Polynomial:
         for v, e in exponents.items():
             key += e << (_W * v.index)
         return self.terms.get(key, 0)
-
-    def total_degree(self) -> int:
-        return max((sum(_degrees_of_key(k)) for k in self.terms), default=0)
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order over the fixed variable order

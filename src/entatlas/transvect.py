@@ -6,9 +6,11 @@ double-primed copies, multiply, apply the determinant-of-derivatives
 operator Omega at each site the requested number of times, and finally
 erase the marks (substitute both copies back to the base variables).
 
-``transvect_fast`` computes the same polynomial through the equivalent
-derivative-convolution expansion of Omega^i; the catalog evaluator uses
-it on hot paths.  Tests pin exact agreement between the two routes.
+This literal route is the test oracle.  Catalog evaluation uses one
+kernel, ``EvalSession._transvect_ground``: every catalog term is
+(A, X)^idx with idx in {0,1}^4 (checked when the catalog is loaded), so
+Omega^idx expands into signed products of ground-form slices and
+first derivatives of X.  Tests pin exact agreement between the two.
 
 In the packed monomial keys the base block occupies bits 0..31, so
 renaming to primed / double-primed copies is a shift by 32 / 64 bits and
@@ -17,9 +19,7 @@ the erasure is integer addition of the two blocks.
 
 from __future__ import annotations
 
-from math import comb
-
-from .poly import _FIELD, _W, Polynomial, _add_raw, _mul_raw
+from .poly import _FIELD, _W, Polynomial, _mul_raw
 
 _BASE_BITS = _W * 8
 _BASE_MASK = (1 << _BASE_BITS) - 1
@@ -129,60 +129,3 @@ def transvect(B: Polynomial, C: Polynomial, idx) -> Polynomial:
         )
     return result
 
-
-def transvect_fast(B: Polynomial, C: Polynomial, idx) -> Polynomial:
-    """Same contract as ``transvect`` via the Omega^i derivative expansion."""
-    expected = _check_degrees(B, C, idx)
-    if expected is None:
-        return Polynomial.zero()
-
-    def diffs(terms, site, n0, n1):
-        """d^n0/dx_{site,0} d^n1/dx_{site,1} on a raw dict."""
-        s0 = _W * 2 * (site - 1)
-        s1 = s0 + _W
-        for shift, n in ((s0, n0), (s1, n1)):
-            for _ in range(n):
-                nxt = {}
-                for key, c in terms.items():
-                    e = (key >> shift) & _FIELD
-                    if e:
-                        nxt[key - (1 << shift)] = c * e
-                terms = nxt
-                if not terms:
-                    return terms
-        return terms
-
-    i1, i2, i3, i4 = idx
-    acc: dict = {}
-    for j1 in range(i1 + 1):
-        for j2 in range(i2 + 1):
-            for j3 in range(i3 + 1):
-                for j4 in range(i4 + 1):
-                    js = (j1, j2, j3, j4)
-                    coef = 1
-                    for k in range(4):
-                        coef *= comb(idx[k], js[k])
-                    if (j1 + j2 + j3 + j4) & 1:
-                        coef = -coef
-                    dB = B.terms
-                    dC = C.terms
-                    for site in range(1, 5):
-                        i, j = idx[site - 1], js[site - 1]
-                        if i:
-                            dB = diffs(dB, site, i - j, j)
-                            if not dB:
-                                break
-                            dC = diffs(dC, site, j, i - j)
-                            if not dC:
-                                break
-                    else:
-                        term = _mul_raw(dB, dC)
-                        if coef != 1:
-                            term = {k: c * coef for k, c in term.items()}
-                        acc = _add_raw(acc, term)
-    result = Polynomial(acc)
-    if result and result.multidegree() != expected:
-        raise TransvectionError(
-            f"degree law violated: got {result.multidegree()}, expected {expected}"
-        )
-    return result

@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from entatlas.catalog import (
     CATALOG_SHA256,
+    Catalog,
     CatalogError,
     CovariantId,
     EXTENDED_T_IDS,
@@ -56,6 +58,37 @@ def test_parse_rejects_degree_law_violation():
             _parse_line("C_3111 3111 1:A:B_2200:0010"),
         ]
         Catalog(defs)
+
+
+def _defs_with_first_term_altered(catalog, name, alter):
+    """Fresh copies of the real catalog definitions, with ``alter`` applied
+    to the first term of ``name``."""
+    target = CovariantId.parse(name)
+    defs = []
+    for cid in catalog.order:
+        d = catalog.defs[cid]
+        terms = d.terms
+        if cid == target:
+            terms = (alter(*terms[0]),) + terms[1:]
+        defs.append(dataclasses.replace(d, terms=terms))
+    return defs
+
+
+def test_catalog_rejects_terms_not_on_the_ground_form(catalog):
+    """Every term must be (A, X)^idx with idx in {0,1}^4; the load fails
+    on a swapped left operand and on an index entry of 2."""
+    unchanged = _defs_with_first_term_altered(catalog, "C_3111", lambda *term: term)
+    assert len(Catalog(unchanged)) == 170
+    swapped = _defs_with_first_term_altered(
+        catalog, "C_3111", lambda coef, lhs, rhs, idx: (coef, rhs, lhs, idx)
+    )
+    with pytest.raises(CatalogError, match="not of the form"):
+        Catalog(swapped)
+    doubled = _defs_with_first_term_altered(
+        catalog, "B_2200", lambda coef, lhs, rhs, idx: (coef, lhs, rhs, (0, 0, 1, 2))
+    )
+    with pytest.raises(CatalogError, match="not of the form"):
+        Catalog(doubled)
 
 
 def test_parse_rejects_forward_reference():

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,27 @@ def test_float_mode_normal_forms():
         if r.label != label or r.mode != "float":
             bad.append((label, r.label, r.mode))
     assert not bad
+
+
+def test_threads_classify_like_serial():
+    """Four threads classifying the 48 nonzero normal forms and one SL2^4
+    image of each give the serial labels: each call evaluates in its own
+    session, and nothing is shared between states."""
+    states = []
+    for label, rec in sorted(orbit_records().items()):
+        if label:
+            nf = rec.normal_form
+            states += [nf, apply_local(random_sl2_tuple(label * 100), nf)]
+    assert len(states) == 96
+
+    def label_of(s):
+        return classify_secant3_extended(s).label
+
+    serial = [label_of(s) for s in states]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(label_of, states))
+    assert threaded == serial
+    assert serial[::2] == serial[1::2] == sorted(orbit_records())[1:]
 
 
 def test_gaussian_amplitudes_classify(ghz):
