@@ -9,7 +9,8 @@ counts (170 covariants in degrees 1..12).
 
 ``EvalSession`` evaluates covariants on one concrete state, memoizing
 every intermediate value.  Amplitudes are substituted first, so all
-intermediates are small polynomials in the 8 base variables.  Because of
+intermediates are small polynomials in the 8 base variables; rational
+amplitudes are first scaled to integers (see ``EvalSession``).  Because of
 the validated term shape, one kernel evaluates every term: the
 ground-form-specialized transvection ``EvalSession._transvect_ground``,
 pinned against the literal Omega process (``transvect.transvect``) by
@@ -39,7 +40,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .poly import _FIELD, _W, Polynomial, _add_raw, _mul_raw, _scale_raw
-from .qstate import State, to_ground_form
+from .qstate import State, cleared_amplitudes
 from .transvect import TransvectionError
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
@@ -247,7 +248,21 @@ def build_catalog(verify_hash: bool = True) -> Catalog:
 
 
 class EvalSession:
-    """Memoized evaluation of catalog covariants on one state."""
+    """Memoized evaluation of catalog covariants on one state.
+
+    Cleared denominators: on a state whose amplitudes are all rational
+    (``int`` or ``Fraction``), the session evaluates the catalog on the
+    integer amplitudes q*A, q the lcm of their denominators
+    (``qstate.cleared_amplitudes``), so the kernel multiplies ints except
+    where the catalog's own coefficients 1/2 and 1/3 enter.  This is exact.
+    Every covariant C is homogeneous of degree ``adeg`` in the amplitudes:
+    a term (A, X)^idx is bilinear in A and X, and ``Catalog._validate``
+    checks at load that all terms of an entry have the same degree, so by
+    induction over the DAG C(qA) = q^adeg * C(A).  Nullity bits and
+    signatures read the values on qA directly, since a nonzero scale
+    changes no zero test; ``eval`` divides by q^adeg.  Float and Gaussian
+    states are evaluated as given (``scale`` 1).
+    """
 
     def __init__(self, catalog: Catalog, state: State, tolerance=None):
         self.catalog = catalog
@@ -256,9 +271,13 @@ class EvalSession:
         self.float_mode = any(isinstance(a, float) for a in state.amps)
         if self.float_mode and tolerance is None:
             self.tolerance = 1e-9
-        self.ground = to_ground_form(state)
-        self._values = {GROUND_ID: self.ground}
+        q, amps = cleared_amplitudes(state) or (1, state.amps)
+        self.scale = q
+        self._amps = amps
         self._slices = {}
+        # The slice that takes no derivative is the ground form itself.
+        self.ground = Polynomial(self._ground_slice((0, 0, 0, 0)))
+        self._values = {GROUND_ID: self.ground}
         self._bold_F = None
         self.min_margin = float("inf")
 
@@ -268,7 +287,7 @@ class EvalSession:
         cached = self._slices.get(sel)
         if cached is not None:
             return cached
-        amps = self.state.amps
+        amps = self._amps
         free = [k for k in range(4) if sel[k] == 0]
         terms = {}
         for m in range(1 << len(free)):
@@ -287,7 +306,9 @@ class EvalSession:
         return self._slices.setdefault(sel, terms)
 
     def _transvect_ground(self, rhs: Polynomial, idx) -> Polynomial:
-        """(A, rhs)^idx with idx in {0,1}^4, via cached ground-form slices."""
+        """(A, rhs)^idx with idx in {0,1}^4, via cached ground-form slices.
+
+        A is the session's ground form, the one on the cleared amplitudes."""
         if rhs.is_zero() or not self.ground:
             return Polynomial.zero()
         rdeg = rhs.multidegree()
@@ -338,6 +359,17 @@ class EvalSession:
         return result
 
     def eval(self, cid) -> Polynomial:
+        """The covariant ``cid`` on the session's state."""
+        if isinstance(cid, str):
+            cid = CovariantId.parse(cid)
+        value = self._value(cid)
+        if self.scale == 1 or not value:
+            return value
+        q_deg = self.scale ** self.catalog.defs[cid].adeg
+        return Polynomial(_scale_raw(value.terms, Fraction(1, q_deg)))
+
+    def _value(self, cid) -> Polynomial:
+        """The covariant ``cid`` on the cleared amplitudes, memoized."""
         if isinstance(cid, str):
             cid = CovariantId.parse(cid)
         value = self._values.get(cid)
@@ -348,7 +380,7 @@ class EvalSession:
             raise CatalogError(f"unknown covariant id {cid}")
         acc: dict = {}
         for coef, _, rhs, idx in d.terms:  # validated: every term is (A, rhs)^idx
-            tv = self._transvect_ground(self.eval(rhs), idx)
+            tv = self._transvect_ground(self._value(rhs), idx)
             if coef != 1:
                 if coef == -1:
                     acc = _add_raw(acc, {k: -c for k, c in tv.terms.items()})
@@ -377,7 +409,7 @@ class EvalSession:
         return 0
 
     def nullity(self, cid) -> int:
-        return self._poly_bit(self.eval(cid))
+        return self._poly_bit(self._value(cid))
 
     def signature(self, cids) -> tuple:
         return tuple(self.nullity(cid) for cid in cids)
@@ -393,7 +425,7 @@ class EvalSession:
     def _sum(self, names) -> Polynomial:
         acc: dict = {}
         for name in names:
-            acc = _add_raw(acc, self.eval(name).terms)
+            acc = _add_raw(acc, self._value(name).terms)
         return Polynomial(acc)
 
     def _product_bit(self, factors) -> int:
@@ -412,10 +444,10 @@ class EvalSession:
         cs = ["C_3111", "C_1311", "C_1131", "C_1113"]
         bit = self._poly_bit
         return (
-            bit(self.eval("A")),
+            bit(self._value("A")),
             bit(self._sum(["B_2200", "B_2020", "B_2002", "B_0220", "B_0202", "B_0022"])),
             bit(self._sum(cs)),
-            self._product_bit([self.eval(c) for c in cs]),
+            self._product_bit([self._value(c) for c in cs]),
             bit(self._sum(["D_4000", "D_0400", "D_0040", "D_0004"])),
             bit(self._sum(["D_2200", "D_2020", "D_2002", "D_0220", "D_0202", "D_0022"])),
             bit(self._sum(["F1_2220", "F1_2202", "F1_2022", "F1_0222"])),

@@ -11,16 +11,42 @@ whose discriminant is proportional to Delta.
 Site naming follows (x, y, z, t) = sites (1, 2, 3, 4); pair forms retain
 the two named sites and take the second-derivative determinant over the
 other two.
+
+Gram tables.  For a pair uv with complement sites w < z, the pair form is
+b_uv = det [d^2 A / dw_i dz_j]_{i,j in {0,1}}.  A is multilinear, so
+d^2 A / dw_i dz_j = sum_{al,be} a(u=al, v=be, w=i, z=j) u_al v_be, and
+expanding the 2x2 determinant, the coefficient of
+u0^(2-p) u1^p v0^(2-q) v1^q (the Gram entry m[p][q]) is
+
+    m[p][q] = sum over al + al' = p, be + be' = q of
+              a(al, be, 0, 0) a(al', be', 1, 1) - a(al, be, 0, 1) a(al', be', 1, 0),
+
+with (al, al', be, be') running over {0,1}^4.  ``_GRAM`` stores these
+products as (i, j, sign) triples of amplitude indices, built once at
+import: 32 per pair (2 at the corners of the 3x3 matrix, 8 at its
+centre), so no polynomial is formed.
+
+Quartic.  Write b_xt = m0(t) x0^2 + m1(t) x0 x1 + m2(t) x1^2 with
+m_p(t) = sum_q m[p][q] t0^(2-q) t1^q, m the xt Gram matrix.  The Hessian
+of b_xt in the site-1 variables is [[2 m0, m1], [m1, 2 m2]], so
+R(t) = det Hess_x(b_xt) = 4 m0(t) m2(t) - m1(t)^2.
+
+Cleared denominators.  B, L, M, N, the Gram entries, D_uv and R are
+homogeneous in the amplitudes, of degree 2, 4, 4, 4, 2, 6 and 4.  On a
+state with rational amplitudes each is computed on the integers q*a
+(``qstate.cleared_amplitudes``) and divided once by q^degree:
+f(a) = f(q a) / q^deg.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .catalog import Catalog, build_catalog
 from .poly import Polynomial, t as t_var, x as x_var
-from .qstate import State, StateError, to_ground_form
+from .qstate import State, StateError, cleared_amplitudes
 from .scalars import normalize_scalar
 
 SITE_OF = {"x": 1, "y": 2, "z": 3, "t": 4}
@@ -36,10 +62,59 @@ _DET_SPLITS = {
 }
 
 
+def _gram_table(pair: str):
+    """The 3x3 cells of (i, j, sign) triples with m[p][q] = sum sign*a_i*a_j."""
+    u, v = (SITE_OF[ch] - 1 for ch in pair)
+    w, z = (k for k in range(4) if k not in (u, v))
+
+    def index(al, be, i, j):
+        return (al << u) | (be << v) | (i << w) | (j << z)
+
+    cells = [[[] for _ in range(3)] for _ in range(3)]
+    for al, al2, be, be2 in product((0, 1), repeat=4):
+        cell = cells[al + al2][be + be2]
+        cell.append((index(al, be, 0, 0), index(al2, be2, 1, 1), 1))
+        cell.append((index(al, be, 0, 1), index(al2, be2, 1, 0), -1))
+    return tuple(tuple(tuple(cell) for cell in row) for row in cells)
+
+
+_GRAM = {pair: _gram_table(pair) for pair in PAIRS}
+
+
+def _cleared(s: State):
+    """(q, amplitudes to compute on): q*a for a rational state, else (1, a)."""
+    return cleared_amplitudes(s) or (1, s.amps)
+
+
+def _over(v, d):
+    """v / d as the simplest exact scalar (v is an int on cleared states)."""
+    if d == 1:
+        return normalize_scalar(v)
+    return normalize_scalar(Fraction(v, d) if isinstance(v, int) else v / d)
+
+
+def _gram(amps, pair: str):
+    """The 3x3 Gram matrix of b_uv on the amplitudes ``amps``."""
+    table = _GRAM.get(pair)
+    if table is None:
+        raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
+    return [
+        [sum(sign * amps[i] * amps[j] for i, j, sign in cell) for cell in row]
+        for row in table
+    ]
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 def _det4(m):
     """Exact 4x4 determinant by cofactor expansion."""
     total = 0
-    rows = (1, 2, 3)
     for j in range(4):
         a = m[0][j]
         if not a:
@@ -54,15 +129,15 @@ def _det4(m):
             minor = m[2][c2[0]] * m[3][c2[1]] - m[2][c2[1]] * m[3][c2[0]]
             sub = sub + (b * minor if jj % 2 == 0 else -b * minor)
         total = total + (a * sub if j % 2 == 0 else -a * sub)
-    return normalize_scalar(total)
+    return total
 
 
-def _flattening(s: State, row_sites, col_sites, row_order, col_order):
+def _flattening(amps, row_sites, col_sites, row_order, col_order):
     def amp(assign):
-        bits = [0, 0, 0, 0]
+        b = 0
         for site, bit in assign:
-            bits[site - 1] = bit
-        return s.amplitude(*bits)
+            b |= bit << (site - 1)
+        return amps[b]
 
     m = []
     for ra, rb in row_order:
@@ -82,27 +157,33 @@ def _flattening(s: State, row_sites, col_sites, row_order, col_order):
     return m
 
 
+def _quartic_det(s: State, name: str):
+    q, amps = _cleared(s)
+    return _over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4)
+
+
 def inv_L(s: State):
-    return _det4(_flattening(s, *_DET_SPLITS["L"]))
+    return _quartic_det(s, "L")
 
 
 def inv_M(s: State):
-    return _det4(_flattening(s, *_DET_SPLITS["M"]))
+    return _quartic_det(s, "M")
 
 
 def inv_N(s: State):
-    return _det4(_flattening(s, *_DET_SPLITS["N"]))
+    return _quartic_det(s, "N")
 
 
 def inv_B(s: State):
     """The quadratic invariant as the signed pairing sum_I (-1)^|I| a_I a_Ibar / 2."""
+    q, amps = _cleared(s)
     total = 0
     for b in range(16):
-        a = s.amps[b]
+        a = amps[b]
         if a:
             sign = -1 if bin(b).count("1") & 1 else 1
-            total = total + sign * a * s.amps[15 - b]
-    return normalize_scalar(Fraction(total, 2) if isinstance(total, int) else total / 2)
+            total = total + sign * a * amps[15 - b]
+    return _over(total, 2 * q * q)
 
 
 def inv_B_transvectant(s: State, catalog: Catalog | None = None):
@@ -112,68 +193,28 @@ def inv_B_transvectant(s: State, catalog: Catalog | None = None):
     return p.terms.get(0, 0)
 
 
-def b_form(s: State, pair: str) -> Polynomial:
-    """Pair form b_uv: second-derivative determinant over the complement sites,
-    a bidegree-(2,2) polynomial in the two retained sites."""
-    if pair not in PAIRS:
-        raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
-    keep = [SITE_OF[ch] for ch in pair]
-    other = [k for k in (1, 2, 3, 4) if k not in keep]
-    f = to_ground_form(s)
-    d = [
-        [f.diff(x_var(other[0], i)).diff(x_var(other[1], j)) for j in (0, 1)]
-        for i in (0, 1)
-    ]
-    return d[0][0] * d[1][1] - d[0][1] * d[1][0]
-
-
 def pair_gram_matrix(s: State, pair: str):
     """The 3x3 matrix of b_uv in the bases [u0^2, u0 u1, u1^2] x [v0^2, v0 v1, v1^2]."""
-    b = b_form(s, pair)
-    u, v = (SITE_OF[ch] for ch in pair)
-    m = []
-    for p in range(3):
-        row = []
-        for q in range(3):
-            row.append(
-                b.coefficient(
-                    {
-                        x_var(u, 0): 2 - p,
-                        x_var(u, 1): p,
-                        x_var(v, 0): 2 - q,
-                        x_var(v, 1): q,
-                    }
-                )
-            )
-        m.append(row)
-    return m
+    q, amps = _cleared(s)
+    return [[_over(c, q * q) for c in row] for row in _gram(amps, pair)]
 
 
 def inv_D(s: State, pair: str = "xy"):
     """The degree-6 invariant D_uv = det of the 3x3 Gram matrix of b_uv."""
-    m = pair_gram_matrix(s, pair)
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return normalize_scalar(det)
+    q, amps = _cleared(s)
+    return _over(_det3(_gram(amps, pair)), q ** 6)
 
 
 def quartic_coeffs(s: State):
     """Binomial coefficients (c0..c4) of R(t) = det Hess_x(b_xt), so that
     R = sum comb(4,i) c_i t0^(4-i) t1^i in the site-4 variables."""
-    b = b_form(s, "xt")
-    d = [
-        [b.diff(x_var(1, i)).diff(x_var(1, j)) for j in (0, 1)]
-        for i in (0, 1)
-    ]
-    r = d[0][0] * d[1][1] - d[0][1] * d[1][0]
-    cs = []
-    for i in range(5):
-        raw = r.coefficient({x_var(4, 0): 4 - i, x_var(4, 1): i})
-        cs.append(normalize_scalar(Fraction(raw, comb(4, i)) if isinstance(raw, int) else raw / comb(4, i)))
-    return tuple(cs)
+    q, amps = _cleared(s)
+    m0, m1, m2 = _gram(amps, "xt")
+    r = [0] * 5
+    for i in range(3):
+        for j in range(3):
+            r[i + j] = r[i + j] + 4 * m0[i] * m2[j] - m1[i] * m1[j]
+    return tuple(_over(r[i], comb(4, i) * q ** 4) for i in range(5))
 
 
 def quartic_S_T(cs):
@@ -201,7 +242,7 @@ def sextic_coeffs(s: State, catalog: Catalog | None = None):
     ds = []
     for i in range(7):
         raw = p.coefficient({x_var(1, 0): 6 - i, x_var(1, 1): i})
-        ds.append(normalize_scalar(Fraction(raw, comb(6, i)) if isinstance(raw, int) else raw / comb(6, i)))
+        ds.append(_over(raw, comb(6, i)))
     return tuple(ds)
 
 
@@ -284,7 +325,7 @@ def verstraete_quartic_coeffs(s: State):
     cs = []
     for i in range(5):
         raw = q.coefficient({t_var(0): 4 - i, t_var(1): i})
-        cs.append(normalize_scalar(Fraction(raw, comb(4, i)) if isinstance(raw, int) else raw / comb(4, i)))
+        cs.append(_over(raw, comb(4, i)))
     return tuple(cs)
 
 

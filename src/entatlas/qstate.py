@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 from .poly import Polynomial, _W
 from .scalars import GaussianRational, normalize_scalar
@@ -128,6 +129,24 @@ def _fraction(p) -> Fraction:
     if den == 0:
         raise StateError(f"amplitude entry {p!r} has denominator 0")
     return Fraction(num, den)
+
+
+def cleared_amplitudes(s: State):
+    """(q, q*a) for a rational state: q is the lcm of the amplitudes'
+    denominators and q*a the tuple of integer amplitudes.  None when an
+    amplitude is a float or a Gaussian rational."""
+    q = 1
+    for a in s.amps:
+        if not isinstance(a, int):
+            if not isinstance(a, Fraction):
+                return None
+            q = lcm(q, a.denominator)
+    if q == 1:
+        return 1, s.amps
+    return q, tuple(
+        a * q if isinstance(a, int) else a.numerator * (q // a.denominator)
+        for a in s.amps
+    )
 
 
 def check_form(n) -> int:

@@ -69,6 +69,18 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        """Power by a non-negative integer exponent (repeated squaring)."""
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            return NotImplemented
+        result, base = GaussianRational(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re / other, self.im / other)

@@ -1,10 +1,13 @@
 import dataclasses
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from entatlas.catalog import (
     CATALOG_SHA256,
+    GROUND_ID,
     Catalog,
     CatalogError,
     CovariantId,
@@ -14,9 +17,19 @@ from entatlas.catalog import (
     catalog_file_sha256,
     split_T,
 )
-from entatlas.classify import GOLDEN, orbit_records
-from entatlas.qstate import apply_local, decode_form, random_sl2_tuple, random_state
+from entatlas.classify import GOLDEN, classify, orbit_records
+from entatlas.invariants import sextic_coeffs
+from entatlas.qstate import (
+    State,
+    apply_local,
+    decode_form,
+    random_sl2_tuple,
+    random_state,
+    to_ground_form,
+)
 from entatlas.poly import Polynomial, x
+from entatlas.scalars import GaussianRational
+from entatlas.transvect import transvect
 
 from conftest import ket_state
 
@@ -155,6 +168,57 @@ def test_vector_W(catalog):
     assert catalog.vector_W(decode_form(65534)) == (0, 0, 0)
     assert catalog.vector_W(decode_form(65259)) == (1, 1, 1)
     assert catalog.vector_W(decode_form(65529)) == (1, 0, 0)
+
+
+def _literal_values(catalog, s):
+    """Every catalog covariant on s by the literal Omega process, with no
+    clearing of denominators."""
+    values = {GROUND_ID: to_ground_form(s)}
+    for cid in catalog.order:
+        if cid != GROUND_ID:
+            acc = Polynomial.zero()
+            for coef, lhs, rhs, idx in catalog.defs[cid].terms:
+                acc = acc + coef * transvect(values[lhs], values[rhs], idx)
+            values[cid] = acc
+    return values
+
+
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_cleared_denominators_match_literal_evaluation(catalog, q):
+    """On a Fraction state with denominators of lcm q the session evaluates
+    on q*A; ``eval`` must still give every covariant of A itself, as the
+    literal Omega process computes it on the uncleared amplitudes."""
+    rng = random.Random(q)
+    dens = [d for d in (1, 2, 3, 6) if q % d == 0]
+    amps = [Fraction(rng.choice((-2, -1, 1, 2, 3)), rng.choice(dens)) for _ in range(16)]
+    amps[0] = Fraction(1, q)
+    s = State(amps)
+    sess = catalog.session(s)
+    assert sess.scale == q
+    literal = _literal_values(catalog, s)
+    nonzero = 0
+    for cid in catalog.order:
+        assert sess.eval(cid) == literal[cid], cid
+        nonzero += not literal[cid].is_zero()
+    assert nonzero > 150
+    sextic = literal[CovariantId.parse("L_6000")]
+    assert sextic_coeffs(s, catalog) == tuple(
+        Fraction(sextic.coefficient({x(1, 0): 6 - i, x(1, 1): i})) / comb(6, i)
+        for i in range(7)
+    )
+
+
+def test_gaussian_and_float_states_are_not_cleared(catalog):
+    """Only int/Fraction states are cleared; Gaussian and float states are
+    evaluated as given and keep their labels."""
+    i = GaussianRational(0, Fraction(1, 2))
+    for label in (59520, 65257, 65529, 65534):
+        nf = orbit_records()[label].normal_form
+        gauss = State([i * a for a in nf.amps])
+        floats = State([float(a) / 3 for a in nf.amps])
+        for s in (gauss, floats):
+            assert catalog.session(s).scale == 1
+            assert classify(s, extended=True).label == label
 
 
 def test_memoization(catalog):

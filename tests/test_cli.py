@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from entatlas.classify import classify
 from entatlas.cli import main
-from entatlas.invariants import inv_L
-from entatlas.qstate import decode_form
+from entatlas.invariants import all_invariants, inv_L
+from entatlas.qstate import LocalOperator, apply_local, decode_form
+from entatlas.scalars import GaussianRational
 
 
 def run(capsys, *argv):
@@ -152,3 +154,27 @@ def test_atlas_and_graph_wiring(capsys, tmp_path, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert {"nodes", "edges"} <= set(doc)
+
+
+def test_complex_state_classify_and_invariants(tmp_path, capsys):
+    """An ``amplitudes_c`` state: (1+i) times an SL2^4 image of the 65529
+    normal form under shears by i.  Its B is not real, so Z needs B**3 of a
+    Gaussian rational."""
+    i_shear = ((1, GaussianRational(0, 1)), (0, 1))
+    g = LocalOperator(i_shear, i_shear, ((1, 0), (1, 1)), i_shear)
+    s = apply_local(g, decode_form(65529)).scaled(GaussianRational(1, 1))
+    assert any(isinstance(a, GaussianRational) for a in s.amps)
+    path = tmp_path / "state.json"
+    path.write_text(s.to_json())
+    assert "amplitudes_c" in path.read_text()
+    label = classify(s).label
+    assert label == 65529
+    for extra in ([], ["--extended"]):
+        code, out, err = run(capsys, "classify", "--in", str(path), *extra)
+        assert code == 0, err
+        assert json.loads(out)["label"] == label
+    code, out, err = run(capsys, "invariants", "--in", str(path), "--pairs")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc == {k: str(v) for k, v in all_invariants(s, pairs=True).items()}
+    assert "i" in doc["B"] and "i" in doc["Z"]

@@ -1,10 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from entatlas.invariants import (
+    PAIRS,
+    SITE_OF,
     all_invariants,
-    b_form,
     delta_via_sextic,
     hyperdet_delta,
     in_third_secant,
@@ -17,6 +20,7 @@ from entatlas.invariants import (
     inv_N,
     inv_Z,
     is_nilpotent,
+    pair_gram_matrix,
     quartic_coeffs,
     quartic_delta,
     sextic_coeffs,
@@ -25,9 +29,129 @@ from entatlas.invariants import (
 )
 from entatlas.poly import Polynomial
 from entatlas.poly import t as t_var
-from entatlas.qstate import State, StateError, apply_local, decode_form, random_sl2_tuple, random_state
+from entatlas.poly import x as x_var
+from entatlas.qstate import (
+    LocalOperator,
+    State,
+    StateError,
+    apply_local,
+    decode_form,
+    random_sl2_tuple,
+    random_state,
+    to_ground_form,
+)
+from entatlas.scalars import GaussianRational
 
 from conftest import ket_state
+
+
+# -- the polynomial route, kept as the oracle of the Gram tables -------------
+
+
+def b_form(s: State, pair: str) -> Polynomial:
+    """Pair form b_uv: second-derivative determinant over the complement sites,
+    a bidegree-(2,2) polynomial in the two retained sites."""
+    keep = [SITE_OF[ch] for ch in pair]
+    other = [k for k in (1, 2, 3, 4) if k not in keep]
+    f = to_ground_form(s)
+    d = [
+        [f.diff(x_var(other[0], i)).diff(x_var(other[1], j)) for j in (0, 1)]
+        for i in (0, 1)
+    ]
+    return d[0][0] * d[1][1] - d[0][1] * d[1][0]
+
+
+def _gram_via_b_form(s: State, pair: str):
+    b = b_form(s, pair)
+    u, v = (SITE_OF[ch] for ch in pair)
+    return [
+        [
+            b.coefficient({x_var(u, 0): 2 - p, x_var(u, 1): p, x_var(v, 0): 2 - q, x_var(v, 1): q})
+            for q in range(3)
+        ]
+        for p in range(3)
+    ]
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _quartic_via_b_form(s: State):
+    """R(t) = det Hess_x(b_xt) built as a polynomial, in binomial coefficients."""
+    b = b_form(s, "xt")
+    d = [[b.diff(x_var(1, i)).diff(x_var(1, j)) for j in (0, 1)] for i in (0, 1)]
+    r = d[0][0] * d[1][1] - d[0][1] * d[1][0]
+    raws = [r.coefficient({x_var(4, 0): 4 - i, x_var(4, 1): i}) for i in range(5)]
+    return tuple(
+        Fraction(raw, math.comb(4, i)) if isinstance(raw, int) else raw / math.comb(4, i)
+        for i, raw in enumerate(raws)
+    )
+
+
+def _table_and_oracle(s: State):
+    """(table route, b_form route) for the six Gram matrices, the six D_uv
+    and the quartic, each flattened to one list of scalars."""
+    table, oracle = [], []
+    for pair in PAIRS:
+        table += [c for row in pair_gram_matrix(s, pair) for c in row]
+        m = _gram_via_b_form(s, pair)
+        oracle += [c for row in m for c in row]
+        table.append(inv_D(s, pair))
+        oracle.append(_det3(m))
+    table += quartic_coeffs(s)
+    oracle += _quartic_via_b_form(s)
+    return table, oracle
+
+
+def _gram_test_states():
+    rng = random.Random(41)
+    ints = [random_state(k) for k in range(4)]
+    ints += [apply_local(random_sl2_tuple(k), decode_form(65257)) for k in range(2)]
+    fracs = [
+        State([Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(16)])
+        for _ in range(6)
+    ]
+    gauss = [
+        State([GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 3)), rng.randint(-2, 2))
+               for _ in range(16)])
+        for _ in range(3)
+    ]
+    i_shear = ((1, GaussianRational(0, 1)), (0, 1))
+    gauss.append(apply_local(LocalOperator(i_shear, i_shear, ((1, 0), (1, 1)), i_shear),
+                             decode_form(65529)))
+    return ints, fracs, gauss
+
+
+def test_gram_tables_match_b_form_exactly():
+    """Gram matrices, all six D_uv and the quartic from the amplitude index
+    tables equal the polynomial b_form route exactly on int, Fraction and
+    Gaussian-rational states."""
+    ints, fracs, gauss = _gram_test_states()
+    for s in ints + fracs + gauss:
+        table, oracle = _table_and_oracle(s)
+        assert table == oracle, s
+        assert any(oracle), s
+    assert any(isinstance(v, GaussianRational) for s in gauss for v in _table_and_oracle(s)[0])
+
+
+def test_gram_tables_match_b_form_on_floats():
+    ints, fracs, _ = _gram_test_states()
+    for s in ints + fracs:
+        fs = State([float(a) * 0.37 for a in s.amps])
+        table, oracle = _table_and_oracle(fs)
+        for deg, got, want in zip(_GRAM_DEGREES, table, oracle):
+            scale = max(abs(a) for a in fs.amps) ** deg
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9 * scale), (s, got, want)
+
+
+# Amplitude degree of each entry of _table_and_oracle: per pair nine Gram
+# entries (2) and D_uv (6), then the five quartic coefficients (4).
+_GRAM_DEGREES = ([2] * 9 + [6]) * 6 + [4] * 5
 
 
 def test_ghz_determinants(ghz):

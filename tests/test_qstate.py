@@ -11,6 +11,7 @@ from entatlas.qstate import (
     State,
     StateError,
     apply_local,
+    cleared_amplitudes,
     decode_form,
     encode_form,
     permute_form,
@@ -161,6 +162,15 @@ def test_json_malformed():
         State.from_json('{"amplitudes": [[1,1]]}')
     with pytest.raises(StateError):
         State.from_json('{"something": 1}')
+
+
+def test_cleared_amplitudes():
+    s = State([Fraction(1, 2), Fraction(-2, 3), 5] + [0] * 13)
+    assert cleared_amplitudes(s) == (6, (3, -4, 30) + (0,) * 13)
+    ints = random_state(1)
+    assert cleared_amplitudes(ints) == (1, ints.amps)
+    assert cleared_amplitudes(State([0.5] + [0] * 15)) is None
+    assert cleared_amplitudes(State([GaussianRational(1, 1)] + [0] * 15)) is None
 
 
 def test_permute_form():
