@@ -143,10 +143,14 @@ def cleared_amplitudes(s: State):
             q = lcm(q, a.denominator)
     if q == 1:
         return 1, s.amps
-    return q, tuple(
+    # A list first: a tuple built from a generator grows by resizing, so
+    # it never reuses CPython's free list of 16-tuples, yet each one joins
+    # that list when freed.  The list then fills to its cap of 2000 (about
+    # 0.3 MB) within a few hundred invariant calls.
+    return q, tuple([
         a * q if isinstance(a, int) else a.numerator * (q // a.denominator)
         for a in s.amps
-    )
+    ])
 
 
 def check_form(n) -> int:
