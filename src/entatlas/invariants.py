@@ -214,7 +214,7 @@ def quartic_coeffs(s: State):
     for i in range(3):
         for j in range(3):
             r[i + j] = r[i + j] + 4 * m0[i] * m2[j] - m1[i] * m1[j]
-    # Built from a list, as in qstate.cleared_amplitudes.
+    # Built from a list, as in qstate.State.__init__.
     return tuple([_over(r[i], comb(4, i) * q ** 4) for i in range(5)])
 
 

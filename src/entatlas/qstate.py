@@ -36,7 +36,11 @@ class State:
     __slots__ = ("amps",)
 
     def __init__(self, amplitudes):
-        amps = tuple(normalize_scalar(a) for a in amplitudes)
+        # A list first: a tuple built from a generator grows by resizing, so
+        # it never reuses CPython's free list of 16-tuples, yet each one
+        # joins that list when freed.  The list then fills to its cap of
+        # 2000 (about 0.3 MB) after a few thousand states.
+        amps = tuple([normalize_scalar(a) for a in amplitudes])
         if len(amps) != 16:
             raise StateError(f"need 16 amplitudes, got {len(amps)}")
         self.amps = amps
@@ -57,7 +61,7 @@ class State:
         return not any(self.amps)
 
     def scaled(self, c) -> "State":
-        return State(tuple(a * c for a in self.amps))
+        return State(a * c for a in self.amps)
 
     def is_binary(self) -> bool:
         return all(a == 0 or a == 1 for a in self.amps)
@@ -143,10 +147,7 @@ def cleared_amplitudes(s: State):
             q = lcm(q, a.denominator)
     if q == 1:
         return 1, s.amps
-    # A list first: a tuple built from a generator grows by resizing, so
-    # it never reuses CPython's free list of 16-tuples, yet each one joins
-    # that list when freed.  The list then fills to its cap of 2000 (about
-    # 0.3 MB) within a few hundred invariant calls.
+    # Built from a list, as in State.__init__.
     return q, tuple([
         a * q if isinstance(a, int) else a.numerator * (q // a.denominator)
         for a in s.amps
@@ -163,7 +164,7 @@ def check_form(n) -> int:
 def decode_form(n: int) -> State:
     """The {0,1}-coefficient form named by n: amplitude at index b is bit b."""
     check_form(n)
-    return State(tuple((n >> b) & 1 for b in range(16)))
+    return State((n >> b) & 1 for b in range(16))
 
 
 def encode_form(s: State) -> int:
