@@ -12,8 +12,8 @@ on site k, the 16 products of flips split the 65536 forms into 4336
 orbits, and every invariant bit and covariant nullity is constant on an
 orbit (proof in ``signatures_for``).  So ``enumerate_forms`` runs its
 filter and ``signatures_for`` computes a signature once per orbit.
-Signatures of 256 or more orbits are spread over a process pool;
-ENTATLAS_THREADS caps it.
+Signatures of 256 or more orbits are spread over a process pool of
+``processes`` workers (default: the cpu count).
 """
 
 from __future__ import annotations
@@ -145,9 +145,6 @@ def _signature_worker(args):
 def _pool_size(processes):
     if processes is not None:
         return max(1, processes)
-    env = os.environ.get("ENTATLAS_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -316,10 +313,10 @@ class Report:
         return "\n".join(out)
 
 
-def verify_tables(catalog=None) -> Report:
+def verify_tables() -> Report:
     """Recompute every printed evaluation block and diff against the golden
     transcriptions; mismatches become report content, not exceptions."""
-    catalog = catalog or build_catalog()
+    catalog = build_catalog()
     sessions = {}
 
     def session(n):

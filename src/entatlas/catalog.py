@@ -1,20 +1,26 @@
 """The covariant catalog: a data-driven dependency DAG of transvections.
 
 The catalog ships as ``data/covariants.txt`` (hash-pinned) and is parsed
-and validated here: every term must have the shape (A, X)^idx with idx in
-{0,1}^4, every entry's declared multidegree must match the sitewise
-degree law of each of its summands, references must point to
+and validated once, at load (``Catalog._validate``): every term must have
+the shape (A, X)^idx with idx in {0,1}^4, each index must fit the degrees
+of its operands, every entry's declared multidegree must match the
+sitewise degree law of each of its summands, references must point to
 already-defined entries, and the per-degree census must match the known
 counts (170 covariants in degrees 1..12).
 
 ``EvalSession`` evaluates covariants on one concrete state, memoizing
-every intermediate value.  Amplitudes are substituted first, so all
-intermediates are small polynomials in the 8 base variables; rational
-amplitudes are first scaled to integers (see ``EvalSession``).  Because of
-the validated term shape, one kernel evaluates every term: the
-ground-form-specialized transvection ``EvalSession._transvect_ground``,
-pinned against the literal Omega process (``transvect.transvect``) by
-tests.  ``Catalog.session`` hands out a new session on every call and
+every intermediate value as a plain ``{monomial key: coefficient}`` dict
+(the ``poly`` packing); a ``Polynomial`` is built only by the public
+``eval``.  Amplitudes are substituted first, so all intermediates are
+small polynomials in the 8 base variables; rational amplitudes are first
+scaled to integers (see ``EvalSession``).  Because of the validated term
+shape, one kernel evaluates every term: the ground-form-specialized
+transvection ``EvalSession._transvect_ground``, pinned against the literal
+Omega process (``transvect.transvect``) by tests.  The kernel trusts the
+load-time checks and repeats none of them; the one check left at
+evaluation runs once per covariant, where its value is memoized
+(``EvalSession._value``): the value is multihomogeneous of the declared
+multidegree.  ``Catalog.session`` hands out a new session on every call and
 the catalog keeps none, so a caller that reads one state several times
 holds its session, and states evaluate independently in parallel.  The
 composite vectors build no product polynomial: a product's bit is the
@@ -39,15 +45,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .poly import _FIELD, _W, Polynomial, _add_raw, _mul_raw, _scale_raw
+from .poly import _W, Polynomial, _add_raw, _diff_raw, _mul_raw, _scale_raw
 from .qstate import State, cleared_amplitudes
-from .transvect import TransvectionError
+from .scalars import GaussianRational
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
 _CENSUS = {1: 1, 2: 7, 3: 6, 4: 20, 5: 13, 6: 27, 7: 22, 8: 24, 9: 24, 10: 12, 11: 10, 12: 4}
 
 _ID_RE = re.compile(r"^([A-L])([123]?)_(\d)(\d)(\d)(\d)$")
+
+# Float mode: a value is nonzero when its largest coefficient magnitude
+# exceeds this absolute bound (the invariants scale it, see
+# ``classify._nonzero``; the covariant bits do not).
+FLOAT_TOLERANCE = 1e-9
 
 
 class CatalogError(Exception):
@@ -137,6 +148,7 @@ class Catalog:
         return [cid for cid in self.order if self.defs[cid].adeg == adeg]
 
     def _validate(self):
+        """Every check the evaluation kernel relies on, run once at load."""
         if len(self.order) != len(set(self.order)):
             raise CatalogError("duplicate catalog ids")
         resolved = {}
@@ -189,9 +201,9 @@ class Catalog:
     # new session, so a caller reading one state several times should
     # hold ``session(state)`` instead.
 
-    def session(self, state: State, tolerance=None) -> "EvalSession":
+    def session(self, state: State) -> "EvalSession":
         """A new evaluation session on ``state``."""
-        return EvalSession(self, state, tolerance=tolerance)
+        return EvalSession(self, state)
 
     def eval_covariant(self, cid, state: State) -> Polynomial:
         return self.session(state).eval(cid)
@@ -226,18 +238,18 @@ def catalog_file_sha256() -> str:
 _cached = None
 
 
-def build_catalog(verify_hash: bool = True) -> Catalog:
-    """Parse, validate and return the catalog (cached per process)."""
+def build_catalog() -> Catalog:
+    """Check the pinned hash, parse, validate and return the catalog
+    (cached per process)."""
     global _cached
     if _cached is not None:
         return _cached
     text = _load_text()
-    if verify_hash:
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        if digest != CATALOG_SHA256:
-            raise CatalogError(
-                f"catalog file hash {digest} does not match pinned {CATALOG_SHA256}"
-            )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != CATALOG_SHA256:
+        raise CatalogError(
+            f"catalog file hash {digest} does not match pinned {CATALOG_SHA256}"
+        )
     defs = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -249,6 +261,9 @@ def build_catalog(verify_hash: bool = True) -> Catalog:
 
 class EvalSession:
     """Memoized evaluation of catalog covariants on one state.
+
+    Values are plain ``{monomial key: coefficient}`` dicts; only ``eval``
+    wraps one in a ``Polynomial``.
 
     Cleared denominators: on a state whose amplitudes are all rational
     (``int`` or ``Fraction``), the session evaluates the catalog on the
@@ -264,20 +279,16 @@ class EvalSession:
     states are evaluated as given (``scale`` 1).
     """
 
-    def __init__(self, catalog: Catalog, state: State, tolerance=None):
+    def __init__(self, catalog: Catalog, state: State):
         self.catalog = catalog
         self.state = state
-        self.tolerance = tolerance
         self.float_mode = any(isinstance(a, float) for a in state.amps)
-        if self.float_mode and tolerance is None:
-            self.tolerance = 1e-9
         q, amps = cleared_amplitudes(state) or (1, state.amps)
         self.scale = q
         self._amps = amps
         self._slices = {}
         # The slice that takes no derivative is the ground form itself.
-        self.ground = Polynomial(self._ground_slice((0, 0, 0, 0)))
-        self._values = {GROUND_ID: self.ground}
+        self._values = {GROUND_ID: self._ground_slice((0, 0, 0, 0))}
         self._bold_F = None
         self.min_margin = float("inf")
 
@@ -305,24 +316,19 @@ class EvalSession:
                 terms[key] = a
         return self._slices.setdefault(sel, terms)
 
-    def _transvect_ground(self, rhs: Polynomial, idx) -> Polynomial:
+    def _transvect_ground(self, rhs: dict, idx) -> dict:
         """(A, rhs)^idx with idx in {0,1}^4, via cached ground-form slices.
 
-        A is the session's ground form, the one on the cleared amplitudes."""
-        if rhs.is_zero() or not self.ground:
-            return Polynomial.zero()
-        rdeg = rhs.multidegree()
-        for k in range(4):
-            if idx[k] > min(1, rdeg[k]):
-                raise TransvectionError(
-                    f"index {idx} exceeds degrees (1,1,1,1) x {rdeg} at site {k + 1}"
-                )
+        A is the session's ground form, the one on the cleared amplitudes.
+        The caller guarantees what ``Catalog._validate`` proves for every
+        catalog term: idx fits the degrees of A and rhs, and the result,
+        when nonzero, has the multidegree the degree law gives."""
         sites = [k for k in range(4) if idx[k]]
         acc: dict = {}
         for m in range(1 << len(sites)):
             sel = [0, 0, 0, 0]
             sign = 1
-            dR = rhs.terms
+            dR = rhs
             for pos, k in enumerate(sites):
                 j = (m >> pos) & 1
                 # Omega expansion: A takes d/dx0 when j=0 (sign +), d/dx1
@@ -330,13 +336,7 @@ class EvalSession:
                 sel[k] = 1 + j
                 if j:
                     sign = -sign
-                shift = _W * (2 * k + (1 - j))
-                nxt = {}
-                for key, c in dR.items():
-                    e = (key >> shift) & _FIELD
-                    if e:
-                        nxt[key - (1 << shift)] = c * e
-                dR = nxt
+                dR = _diff_raw(dR, 2 * k + 1 - j)
                 if not dR:
                     break
             if not dR:
@@ -348,15 +348,7 @@ class EvalSession:
             if sign < 0:
                 term = {k2: -c for k2, c in term.items()}
             acc = _add_raw(acc, term)
-        result = Polynomial(acc)
-        if result:
-            expected = tuple(1 + rdeg[k] - 2 * idx[k] for k in range(4))
-            if result.multidegree() != expected:
-                raise TransvectionError(
-                    f"degree law violated in ground transvection: "
-                    f"{result.multidegree()} != {expected}"
-                )
-        return result
+        return acc
 
     def eval(self, cid) -> Polynomial:
         """The covariant ``cid`` on the session's state."""
@@ -364,12 +356,16 @@ class EvalSession:
             cid = CovariantId.parse(cid)
         value = self._value(cid)
         if self.scale == 1 or not value:
-            return value
+            return Polynomial(value)
         q_deg = self.scale ** self.catalog.defs[cid].adeg
-        return Polynomial(_scale_raw(value.terms, Fraction(1, q_deg)))
+        return Polynomial(_scale_raw(value, Fraction(1, q_deg)))
 
-    def _value(self, cid) -> Polynomial:
-        """The covariant ``cid`` on the cleared amplitudes, memoized."""
+    def _value(self, cid) -> dict:
+        """The terms of covariant ``cid`` on the cleared amplitudes, memoized.
+
+        The kernel repeats none of the load-time checks, so this is the one
+        place a value is checked: once per covariant, a nonzero value must
+        be multihomogeneous of the declared multidegree."""
         if isinstance(cid, str):
             cid = CovariantId.parse(cid)
         value = self._values.get(cid)
@@ -378,18 +374,16 @@ class EvalSession:
         d = self.catalog.defs.get(cid)
         if d is None:
             raise CatalogError(f"unknown covariant id {cid}")
-        acc: dict = {}
+        value = {}
         for coef, _, rhs, idx in d.terms:  # validated: every term is (A, rhs)^idx
             tv = self._transvect_ground(self._value(rhs), idx)
-            if coef != 1:
-                if coef == -1:
-                    acc = _add_raw(acc, {k: -c for k, c in tv.terms.items()})
-                    continue
-                tv = Polynomial(_scale_raw(tv.terms, coef))
-            acc = _add_raw(acc, tv.terms)
-        value = Polynomial(acc)
+            if coef == -1:
+                tv = {k: -c for k, c in tv.items()}
+            elif coef != 1:
+                tv = _scale_raw(tv, coef)
+            value = _add_raw(value, tv)
         if value:
-            md = value.multidegree()
+            md = Polynomial(value).multidegree()
             if md != cid.multidegree:
                 raise CatalogError(
                     f"{cid}: evaluated multidegree {md} != declared {cid.multidegree}"
@@ -397,19 +391,28 @@ class EvalSession:
         self._values[cid] = value
         return value
 
-    def _poly_bit(self, p: Polynomial) -> int:
+    def _bit(self, terms: dict) -> int:
+        """1 if the value with these terms is nonzero, else 0.
+
+        Exact mode: the value is zero exactly when it has no terms.  Float
+        mode: its largest coefficient magnitude is compared with
+        ``FLOAT_TOLERANCE``, and the ratio is recorded as a margin."""
         if not self.float_mode:
-            return 0 if p.is_zero() else 1
-        mag = p.max_abs_coefficient()
-        tol = self.tolerance
-        if mag > tol:
-            self.min_margin = min(self.min_margin, mag / tol)
+            return 1 if terms else 0
+        mag = max(
+            (abs(complex(c.re, c.im)) if isinstance(c, GaussianRational) else abs(float(c))
+             for c in terms.values()),
+            default=0.0,
+        )
+        if mag > FLOAT_TOLERANCE:
+            self.min_margin = min(self.min_margin, mag / FLOAT_TOLERANCE)
             return 1
-        self.min_margin = min(self.min_margin, tol / mag if mag else float("inf"))
+        if mag:
+            self.min_margin = min(self.min_margin, FLOAT_TOLERANCE / mag)
         return 0
 
     def nullity(self, cid) -> int:
-        return self._poly_bit(self._value(cid))
+        return self._bit(self._value(cid))
 
     def signature(self, cids) -> tuple:
         return tuple(self.nullity(cid) for cid in cids)
@@ -422,11 +425,8 @@ class EvalSession:
 
     # -- composite vectors ---------------------------------------------------
 
-    def _sum(self, names) -> Polynomial:
-        acc: dict = {}
-        for name in names:
-            acc = _add_raw(acc, self._value(name).terms)
-        return Polynomial(acc)
+    def _sum(self, names) -> dict:
+        return _add_all(self._value(name) for name in names)
 
     def _product_bit(self, factors) -> int:
         """The bit of the product of ``factors``, decided without forming it.
@@ -435,14 +435,14 @@ class EvalSession:
         Q(i)[x] are integral domains, so a product is nonzero if and only if
         every factor is nonzero; the conjunction therefore equals the exact
         nonzero test of the literal product.  Float mode: the bit is the
-        minimum of the factor bits, each decided by ``_poly_bit`` at the
-        session tolerance (and each recording its margin).
+        minimum of the factor bits, each decided by ``_bit`` at
+        ``FLOAT_TOLERANCE`` (and each recording its margin).
         """
-        return min(self._poly_bit(p) for p in factors)
+        return min(self._bit(terms) for terms in factors)
 
     def vector_V(self) -> tuple:
         cs = ["C_3111", "C_1311", "C_1131", "C_1113"]
-        bit = self._poly_bit
+        bit = self._bit
         return (
             bit(self._value("A")),
             bit(self._sum(["B_2200", "B_2020", "B_2002", "B_0220", "B_0202", "B_0022"])),
@@ -468,24 +468,27 @@ class EvalSession:
         return self._bold_F
 
     def vector_Vpp(self) -> tuple:
-        bits = [self._poly_bit(p) for p in self.bold_F()]
+        bits = [self._bit(terms) for terms in self.bold_F()]
         bits += [self.nullity(n) for n in ("L_6000", "L_0600", "L_0060", "L_0006")]
         return tuple(bits)
 
     def vector_W(self) -> tuple:
         bf = self.bold_F()
-        f42 = Polynomial({})
-        for p in bf:
-            f42 = f42 + p
-        # F_42 minus the named pair and its complementary pair.
-        over_0 = f42 - bf[0] - bf[5]
-        over_1 = f42 - bf[1] - bf[4]
-        over_2 = f42 - bf[2] - bf[3]
+        # over_i is F_42 minus bold-F pair i and its complementary pair 5 - i:
+        # the sum of the other four pairs.
+        overs = [_add_all(bf[j] for j in range(6) if j not in (i, 5 - i)) for i in range(3)]
         return (
-            self._poly_bit(f42),
-            self._product_bit([over_0, over_1, over_2]),
+            self._bit(_add_all(bf)),
+            self._product_bit(overs),
             self._product_bit(bf),
         )
+
+
+def _add_all(parts) -> dict:
+    acc: dict = {}
+    for terms in parts:
+        acc = _add_raw(acc, terms)
+    return acc
 
 
 def _ids(*names):

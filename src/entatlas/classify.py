@@ -6,8 +6,9 @@ exact vanishing of L, M, B and D_xy, then separates classes with the V'
 and V'' vectors; the extended variant refines the B != 0, D_xy != 0
 branch with Z before consulting V'.  Table matching is exact: an
 in-domain signature that matches no golden row, or a W vector that
-contradicts the stratum its V'' row names, raises an integrity error
-rather than guessing.
+contradicts the stratum its V'' row names, raises rather than guessing.
+In exact mode that is an integrity error (a broken catalog); in float
+mode it is a low-confidence failure, since a float bit may be wrong.
 
 Also here: orbit dimensions from the rank of the local Lie-algebra
 action, tangent-space ranks at separable points (secant defectivity),
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .catalog import T_IDS, VPRIME_IDS, Catalog, EvalSession, build_catalog
+from .catalog import FLOAT_TOLERANCE, T_IDS, VPRIME_IDS, EvalSession, build_catalog
 from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z
 from .qstate import State, StateError, decode_form
 from .scalars import GaussianRational
@@ -170,16 +171,25 @@ def _reject_zero(s: State):
         raise StateError("the zero state is rejected by classifiers")
 
 
-def _nonzero(value, s: State, degree: int, tolerance=1e-9) -> bool:
-    """Exact truthiness, except float scalars compare against a tolerance
-    scaled by the amplitude magnitude raised to the invariant's degree."""
+def _nonzero(value, s: State, degree: int) -> bool:
+    """Exact truthiness, except float scalars compare against
+    ``FLOAT_TOLERANCE`` scaled by the amplitude magnitude raised to the
+    invariant's degree."""
     if isinstance(value, float):
         scale = max((abs(float(a)) for a in s.amps), default=1.0)
-        return abs(value) > tolerance * max(1.0, scale ** degree)
+        return abs(value) > FLOAT_TOLERANCE * max(1.0, scale ** degree)
     return bool(value)
 
 
-def _result(label, signatures, stratum=None, mode="exact", confidence="exact"):
+def _miss(sess: EvalSession, message: str) -> Exception:
+    """The error for a signature that matches no golden row: an integrity
+    error in exact mode, a low-confidence failure in float mode."""
+    if sess.float_mode:
+        return ClassifyFail(f"{message} (float mode: confidence low)")
+    return IntegrityError(message)
+
+
+def _result(label, signatures, sess: EvalSession, stratum=None):
     rec = GOLDEN.orbits.get(label)
     if rec is None:
         raise IntegrityError(f"label {label} missing from the orbit catalog")
@@ -188,15 +198,14 @@ def _result(label, signatures, stratum=None, mode="exact", confidence="exact"):
         variety=rec.variety,
         stratum=stratum if stratum is not None else rec.group,
         signatures=signatures,
-        mode=mode,
-        confidence=confidence,
+        mode="float" if sess.float_mode else "exact",
+        confidence=sess.confidence(),
     )
 
 
-def classify_nullcone(s: State, catalog: Catalog | None = None) -> ClassificationResult:
+def classify_nullcone(s: State) -> ClassificationResult:
     """Match the T signature of a nilpotent state against the golden blocks."""
     _reject_zero(s)
-    catalog = catalog or build_catalog()
     if (
         _nonzero(inv_B(s), s, 2)
         or _nonzero(inv_L(s), s, 4)
@@ -204,7 +213,7 @@ def classify_nullcone(s: State, catalog: Catalog | None = None) -> Classificatio
         or _nonzero(inv_D(s, "xy"), s, 6)
     ):
         raise ClassifyFail("state is not nilpotent")
-    return _nullcone_lookup(catalog.session(s))
+    return _nullcone_lookup(build_catalog().session(s))
 
 
 def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
@@ -212,77 +221,67 @@ def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
     sig = sess.signature(T_IDS)
     label = GOLDEN.t_lookup.get(sig)
     if label is None:
-        raise IntegrityError(f"nilpotent state with unknown T signature {sig}")
+        raise _miss(sess, f"nilpotent state with unknown T signature {sig}")
     v = sess.vector_V()
     gr = GOLDEN.v_lookup.get(v)
     if gr is None:
-        raise IntegrityError(f"V signature {v} matches no stratum row")
-    return _result(label, {"T": sig, "V": v}, stratum=gr,
-                   mode="float" if sess.float_mode else "exact",
-                   confidence=sess.confidence())
+        raise _miss(sess, f"V signature {v} matches no stratum row")
+    return _result(label, {"T": sig, "V": v}, sess, stratum=gr)
 
 
-def _secant_branch(s, catalog, extended):
+def _secant_branch(s, extended):
     _reject_zero(s)
-    catalog = catalog or build_catalog()
     if _nonzero(inv_L(s), s, 4) or _nonzero(inv_M(s), s, 4):
         raise ClassifyFail("L or M does not vanish (outside the third secant)")
-    sess = catalog.session(s)
+    sess = build_catalog().session(s)
     B = _nonzero(inv_B(s), s, 2)
     Dxy = _nonzero(inv_D(s, "xy"), s, 6)
-    mode = "float" if sess.float_mode else "exact"
     if not B:
         if not Dxy:
             # L, M, B and D_xy all vanish: the state is nilpotent.
             return _nullcone_lookup(sess)
-        return _result(59777, {"B": (0,), "Dxy": (1,)}, mode=mode,
-                       confidence=sess.confidence())
+        return _result(59777, {"B": (0,), "Dxy": (1,)}, sess)
     if not Dxy:
         vpp = sess.vector_Vpp()
         hit = GOLDEN.vpp_lookup.get(vpp)
         if hit is None:
-            raise IntegrityError(f"V'' signature {vpp} matches no golden row")
+            raise _miss(sess, f"V'' signature {vpp} matches no golden row")
         label, stratum = hit
         w = sess.vector_W()
         if GOLDEN.w_lookup.get(w) != stratum:
-            raise IntegrityError(f"W signature {w} does not match stratum {stratum}")
-        return _result(label, {"Vpp": vpp, "W": w}, stratum=stratum,
-                       mode=mode, confidence=sess.confidence())
+            raise _miss(sess, f"W signature {w} does not match stratum {stratum}")
+        return _result(label, {"Vpp": vpp, "W": w}, sess, stratum=stratum)
     vp = sess.signature(VPRIME_IDS)
     if extended:
         if _nonzero(inv_Z(s), s, 6):
-            return _result(65257, {"Vp": vp, "Z": (1,)}, mode=mode,
-                           confidence=sess.confidence())
+            return _result(65257, {"Vp": vp, "Z": (1,)}, sess)
         if not any(vp):
-            return _result(59510, {"Vp": vp, "Z": (0,)}, mode=mode,
-                           confidence=sess.confidence())
-        return _result(6014, {"Vp": vp, "Z": (0,)}, stratum="secant-special",
-                       mode=mode, confidence=sess.confidence())
+            return _result(59510, {"Vp": vp, "Z": (0,)}, sess)
+        return _result(6014, {"Vp": vp, "Z": (0,)}, sess, stratum="secant-special")
     hit = GOLDEN.vp_lookup.get(vp)
     if hit is None:
-        raise IntegrityError(f"V' signature {vp} matches no golden row")
+        raise _miss(sess, f"V' signature {vp} matches no golden row")
     label, stratum = hit
-    return _result(label, {"Vp": vp}, stratum=stratum, mode=mode,
-                   confidence=sess.confidence())
+    return _result(label, {"Vp": vp}, sess, stratum=stratum)
 
 
-def classify_secant3(s: State, catalog: Catalog | None = None) -> ClassificationResult:
+def classify_secant3(s: State) -> ClassificationResult:
     """The third-secant decision procedure (branch on B and D_xy, then V'/V'')."""
-    return _secant_branch(s, catalog, extended=False)
+    return _secant_branch(s, extended=False)
 
 
-def classify_secant3_extended(s: State, catalog: Catalog | None = None) -> ClassificationResult:
+def classify_secant3_extended(s: State) -> ClassificationResult:
     """The refinement that tests Z before V', separating the extended class 6014."""
-    return _secant_branch(s, catalog, extended=True)
+    return _secant_branch(s, extended=True)
 
 
-def classify(s: State, catalog: Catalog | None = None, extended: bool = False) -> ClassificationResult:
-    return _secant_branch(s, catalog, extended=extended)
+def classify(s: State, extended: bool = False) -> ClassificationResult:
+    return _secant_branch(s, extended=extended)
 
 
-def stratum(s: State, catalog: Catalog | None = None) -> str:
+def stratum(s: State) -> str:
     """Gr / Gr' / Gr'' stratum of a state in the algorithms' domain."""
-    return classify(s, catalog).stratum
+    return classify(s).stratum
 
 
 # ---------------------------------------------------------------------------

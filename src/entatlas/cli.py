@@ -3,8 +3,9 @@
 Commands: classify, invariants, eval, atlas, verify, graph.  All output
 is JSON (or DOT for graphs) and deterministic in exact mode.  Exit codes:
 0 success, 1 usage or input error, 2 FAIL (the state is outside the
-algorithm's domain), 3 internal integrity failure (a golden table
-mismatch, which indicates a broken catalog rather than bad input).
+algorithm's domain, or a float-mode signature matches no golden row),
+3 internal integrity failure (an exact golden table mismatch, which
+indicates a broken catalog rather than bad input).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("variety", choices=("nullcone", "secant3"))
         p.add_argument("--basis", default="extended", choices=("extended", "T", "full"))
         p.add_argument("--processes", type=int, default=None,
-                       help="worker count (default: ENTATLAS_THREADS or cpu count)")
+                       help="worker count (default: cpu count)")
         if name == "atlas":
             p.add_argument("--out", default="atlas-out")
             p.set_defaults(fn=cmd_atlas)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .catalog import Catalog, build_catalog
+from .catalog import build_catalog
 from .poly import Polynomial, t as t_var, x as x_var
 from .qstate import State, StateError, cleared_amplitudes
 from .scalars import normalize_scalar
@@ -186,10 +186,9 @@ def inv_B(s: State):
     return _over(total, 2 * q * q)
 
 
-def inv_B_transvectant(s: State, catalog: Catalog | None = None):
+def inv_B_transvectant(s: State):
     """B via (1/2)(A,A)^{1111}; equals inv_B (pinned by tests)."""
-    catalog = catalog or build_catalog()
-    p = catalog.eval_covariant("B_0000", s)
+    p = build_catalog().eval_covariant("B_0000", s)
     return p.terms.get(0, 0)
 
 
@@ -236,10 +235,9 @@ def hyperdet_delta(s: State):
     return quartic_delta(quartic_coeffs(s))
 
 
-def sextic_coeffs(s: State, catalog: Catalog | None = None):
+def sextic_coeffs(s: State):
     """Binomial coefficients (d0..d6) of the evaluated sextic L_6000."""
-    catalog = catalog or build_catalog()
-    p = catalog.eval_covariant("L_6000", s)
+    p = build_catalog().eval_covariant("L_6000", s)
     ds = []
     for i in range(7):
         raw = p.coefficient({x_var(1, 0): 6 - i, x_var(1, 1): i})
@@ -247,23 +245,23 @@ def sextic_coeffs(s: State, catalog: Catalog | None = None):
     return tuple(ds)
 
 
-def inv_I2(s: State, catalog: Catalog | None = None):
+def inv_I2(s: State):
     """Degree-2 invariant of the sextic: d0 d6 - 6 d1 d5 + 15 d2 d4 - 10 d3^2.
 
     The source prints the last two terms as "15 d3 d4 - 10 d^2", which is
     dimensionally inconsistent; this corrected form is validated by the
     exact proportionality to the hyperdeterminant.
     """
-    d0, d1, d2, d3, d4, d5, d6 = sextic_coeffs(s, catalog)
+    d0, d1, d2, d3, d4, d5, d6 = sextic_coeffs(s)
     return normalize_scalar(d0 * d6 - 6 * d1 * d5 + 15 * d2 * d4 - 10 * d3 * d3)
 
 
 DELTA_I2_FACTOR = Fraction(3, 2 ** 19 * 5 ** 2)
 
 
-def delta_via_sextic(s: State, catalog: Catalog | None = None):
+def delta_via_sextic(s: State):
     """Delta from the sextic route; equals hyperdet_delta exactly."""
-    return normalize_scalar(DELTA_I2_FACTOR * inv_I2(s, catalog))
+    return normalize_scalar(DELTA_I2_FACTOR * inv_I2(s))
 
 
 def inv_Z(s: State):
@@ -272,7 +270,7 @@ def inv_Z(s: State):
     return normalize_scalar(inv_D(s, "xy") - Fraction(1, 27) * B ** 3)
 
 
-def all_invariants(s: State, catalog: Catalog | None = None, pairs: bool = False) -> dict:
+def all_invariants(s: State, pairs: bool = False) -> dict:
     """Every scalar invariant in one dict (CLI surface)."""
     B = inv_B(s)
     L = inv_L(s)
@@ -290,7 +288,7 @@ def all_invariants(s: State, catalog: Catalog | None = None, pairs: bool = False
         "T": T,
         "Delta": normalize_scalar(S ** 3 - 27 * T * T),
         "Z": normalize_scalar(Dxy - Fraction(1, 27) * B ** 3),
-        "I2": inv_I2(s, catalog),
+        "I2": inv_I2(s),
     }
     if pairs:
         for pair in PAIRS[1:]:

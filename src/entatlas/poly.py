@@ -350,18 +350,6 @@ class Polynomial:
                 out[k] = v
         return Polynomial(out)
 
-    def max_abs_coefficient(self) -> float:
-        """Largest |coefficient| as a float (approximate-mode tolerance aid)."""
-        best = 0.0
-        for c in self.terms.values():
-            if isinstance(c, GaussianRational):
-                m = abs(complex(c.re, c.im))
-            else:
-                m = abs(float(c))
-            if m > best:
-                best = m
-        return best
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):

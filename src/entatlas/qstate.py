@@ -206,9 +206,6 @@ class LocalOperator:
     def determinants(self):
         return tuple(_det2(g) for g in self.factors)
 
-    def is_sl(self) -> bool:
-        return all(d == 1 for d in self.determinants())
-
     def compose(self, other: "LocalOperator") -> "LocalOperator":
         """Sitewise matrix product self . other."""
         return LocalOperator(*(
@@ -267,12 +264,6 @@ class QubitPermutation:
 
     def __call__(self, k: int) -> int:
         return self.images[k - 1]
-
-    def inverse(self) -> "QubitPermutation":
-        inv = [0] * 4
-        for k, v in enumerate(self.images, start=1):
-            inv[v - 1] = k
-        return QubitPermutation(inv)
 
     def compose(self, other: "QubitPermutation") -> "QubitPermutation":
         """self after other."""

@@ -124,11 +124,6 @@ def normalize_scalar(c):
     return c
 
 
-def parse_rational(text):
-    """Parse "p" or "p/q" into an exact rational."""
-    return normalize_scalar(Fraction(text.strip()))
-
-
 def format_rational(c) -> str:
     """Render an exact rational as "p" or "p/q"."""
     f = Fraction(c)
@@ -136,15 +131,3 @@ def format_rational(c) -> str:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
 
-
-def scalar_to_json(c):
-    """JSON form of a scalar: int, [num, den], or [[re_n, re_d], [im_n, im_d]]."""
-    c = normalize_scalar(c)
-    if isinstance(c, GaussianRational):
-        return [
-            [c.re.numerator, c.re.denominator],
-            [c.im.numerator, c.im.denominator],
-        ]
-    if isinstance(c, Fraction):
-        return [c.numerator, c.denominator]
-    return c

@@ -164,7 +164,7 @@ def test_criterion_06_normal_form_round_trip():
     assert _report(6, "normal forms fixed under 20 local conjugations each", not bad, f"bad={bad}")
 
 
-def test_criterion_07_invariant_identities(catalog):
+def test_criterion_07_invariant_identities():
     factor = Fraction(3, 2 ** 19 * 5 ** 2)
     lam = Fraction(3, 2)
     bad = []
@@ -173,7 +173,7 @@ def test_criterion_07_invariant_identities(catalog):
         if inv_N(s) != -inv_L(s) - inv_M(s):
             bad.append((seed, "N"))
         delta = hyperdet_delta(s)
-        if delta != factor * inv_I2(s, catalog):
+        if delta != factor * inv_I2(s):
             bad.append((seed, "I2"))
         if hyperdet_delta(s.scaled(lam)) != lam ** 24 * delta:
             bad.append((seed, "hom24"))
@@ -337,7 +337,7 @@ def test_criterion_11_extended_branch():
     assert _report(11, "extended branch through the vanishing of Z", data_ok and labels_ok)
 
 
-def test_golden_tables_all_reproduce(catalog):
-    report = verify_tables(catalog)
+def test_golden_tables_all_reproduce():
+    report = verify_tables()
     assert _report(0, "golden table recomputation (supporting check)", report.ok,
                    str(report) if not report.ok else "")

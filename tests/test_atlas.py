@@ -117,8 +117,8 @@ def test_export_graph_roundtrip():
         export_graph(g, "xml")
 
 
-def test_verify_tables_all_pass(catalog):
-    report = verify_tables(catalog)
+def test_verify_tables_all_pass():
+    report = verify_tables()
     assert report.ok, str(report)
     assert len(report.lines) == 92
     assert str(report).endswith("(92 checks)")

@@ -61,18 +61,6 @@ def test_hash_pinned():
     assert catalog_file_sha256() == CATALOG_SHA256
 
 
-def test_parse_rejects_degree_law_violation():
-    with pytest.raises(CatalogError):
-        from entatlas.catalog import Catalog
-
-        defs = [
-            _parse_line("A 1111 GROUND"),
-            _parse_line("B_2200 2200 1/2:A:A:0011"),
-            _parse_line("C_3111 3111 1:A:B_2200:0010"),
-        ]
-        Catalog(defs)
-
-
 def _defs_with_first_term_altered(catalog, name, alter):
     """Fresh copies of the real catalog definitions, with ``alter`` applied
     to the first term of ``name``."""
@@ -85,6 +73,31 @@ def _defs_with_first_term_altered(catalog, name, alter):
             terms = (alter(*terms[0]),) + terms[1:]
         defs.append(dataclasses.replace(d, terms=terms))
     return defs
+
+
+def test_parse_rejects_degree_law_violation(catalog):
+    """The load-time checks the evaluation kernel relies on and does not
+    repeat: an index must fit the operand degrees, and the degree law must
+    give the declared multidegree."""
+    with pytest.raises(CatalogError, match="exceeds degrees"):
+        defs = [
+            _parse_line("A 1111 GROUND"),
+            _parse_line("B_2200 2200 1/2:A:A:0011"),
+            _parse_line("C_3111 3111 1:A:B_2200:0010"),
+        ]
+        Catalog(defs)
+    # C_3111's first term is (A, B_2200)^{0100}; B_2200 has degree 0 at site 3.
+    site3 = _defs_with_first_term_altered(
+        catalog, "C_3111", lambda coef, lhs, rhs, idx: (coef, lhs, rhs, (0, 0, 1, 0))
+    )
+    with pytest.raises(CatalogError, match="exceeds degrees"):
+        Catalog(site3)
+    # Index {1000} fits, but the law gives (1, 3, 1, 1), not (3, 1, 1, 1).
+    site1 = _defs_with_first_term_altered(
+        catalog, "C_3111", lambda coef, lhs, rhs, idx: (coef, lhs, rhs, (1, 0, 0, 0))
+    )
+    with pytest.raises(CatalogError, match=r"degree law gives \(1, 3, 1, 1\)"):
+        Catalog(site1)
 
 
 def test_catalog_rejects_terms_not_on_the_ground_form(catalog):
@@ -202,7 +215,7 @@ def test_cleared_denominators_match_literal_evaluation(catalog, q):
         nonzero += not literal[cid].is_zero()
     assert nonzero > 150
     sextic = literal[CovariantId.parse("L_6000")]
-    assert sextic_coeffs(s, catalog) == tuple(
+    assert sextic_coeffs(s) == tuple(
         Fraction(sextic.coefficient({x(1, 0): 6 - i, x(1, 1): i})) / comb(6, i)
         for i in range(7)
     )
@@ -224,7 +237,12 @@ def test_gaussian_and_float_states_are_not_cleared(catalog):
 def test_memoization(catalog):
     s = decode_form(59520)
     sess = catalog.session(s)
-    assert sess.eval("D_4000") is sess.eval("D_4000")
+    # C_3111 is nonzero on the W state and D_4000 vanishes; both memoize.
+    for name, nonzero in (("C_3111", True), ("D_4000", False)):
+        first = sess._value(name)
+        assert bool(first) == nonzero
+        assert sess._value(name) is first
+        assert sess.eval(name).terms is first
 
 
 def test_evaluated_multihomogeneity(catalog):
@@ -288,7 +306,7 @@ def test_product_bits_match_literal_products(catalog):
                 assert sess.vector_V()[3] == literal, (label, s)
                 seen["V"].add(literal)
                 continue
-            bf = sess.bold_F()
+            bf = [Polynomial(terms) for terms in sess.bold_F()]
             f42 = sum(bf, Polynomial.zero())
             overs = [f42 - bf[0] - bf[5], f42 - bf[1] - bf[4], f42 - bf[2] - bf[3]]
             literal = (

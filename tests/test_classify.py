@@ -268,6 +268,23 @@ def test_float_mode_normal_forms():
     assert not bad
 
 
+def _float_miss_images():
+    """SL2^4 images of four normal forms whose float bits, decided at the
+    absolute FLOAT_TOLERANCE, match no golden row; with their labels."""
+    for label in (6014, 59510, 59777, 65257):
+        nf = orbit_records()[label].normal_form
+        yield label, apply_local(random_sl2_tuple(label * 100), nf)
+
+
+def test_float_lookup_miss_fails_closed():
+    """In float mode a golden-table miss is a low-confidence ClassifyFail,
+    not an IntegrityError; the exact image keeps its label."""
+    for label, img in _float_miss_images():
+        assert classify_secant3_extended(img).label == label
+        with pytest.raises(ClassifyFail, match="confidence low"):
+            classify_secant3_extended(State([float(a) for a in img.amps]))
+
+
 def test_threads_classify_like_serial():
     """Four threads classifying the 48 nonzero normal forms and one SL2^4
     image of each give the serial labels: each call evaluates in its own

@@ -5,7 +5,7 @@ import pytest
 from entatlas.classify import classify
 from entatlas.cli import main
 from entatlas.invariants import all_invariants, inv_L
-from entatlas.qstate import LocalOperator, apply_local, decode_form
+from entatlas.qstate import LocalOperator, apply_local, decode_form, random_sl2_tuple
 from entatlas.scalars import GaussianRational
 
 
@@ -64,6 +64,18 @@ def test_classify_float_mode(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["label"] == 59520 and doc["mode"] == "float" and "confidence" in doc
+
+
+def test_classify_float_lookup_miss_exits_2(tmp_path, capsys):
+    """A float state whose bits match no golden row is a FAIL (exit 2),
+    not an integrity error, and prints no traceback."""
+    img = apply_local(random_sl2_tuple(6014 * 100), decode_form(6014))
+    path = tmp_path / "state.json"
+    path.write_text(img.to_json())
+    code, out, err = run(capsys, "classify", "--extended", "--mode", "float", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("FAIL:") and "confidence low" in err
+    assert "Traceback" not in err
 
 
 def test_classify_malformed_file(tmp_path, capsys):

@@ -171,10 +171,10 @@ def test_N_definitional_identity():
         assert inv_N(s) == -inv_L(s) - inv_M(s)
 
 
-def test_B_matches_transvectant(catalog):
+def test_B_matches_transvectant():
     for seed in range(8):
         s = random_state(seed)
-        assert inv_B(s) == inv_B_transvectant(s, catalog)
+        assert inv_B(s) == inv_B_transvectant(s)
 
 
 def test_pair_form_degenerates_on_monomial():
@@ -212,10 +212,10 @@ def test_delta_routes_agree():
         assert hyperdet_delta(s) == delta_via_sextic(s)
 
 
-def test_delta_routes_vanish_on_nullcone(catalog):
+def test_delta_routes_vanish_on_nullcone():
     s = decode_form(59520)
     assert hyperdet_delta(s) == 0
-    assert delta_via_sextic(s, catalog) == 0
+    assert delta_via_sextic(s) == 0
 
 
 def test_proportionality_constant_exact():
@@ -319,7 +319,7 @@ def test_all_invariants_dict():
 
 def test_sextic_and_quartic_coeff_conventions(catalog):
     s = decode_form(65218)
-    ds = sextic_coeffs(s, catalog)
+    ds = sextic_coeffs(s)
     p = catalog.eval_covariant("L_6000", s)
     from math import comb
     from entatlas.poly import x as x_var
