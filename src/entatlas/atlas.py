@@ -93,7 +93,6 @@ def _flip_key(n: int) -> int:
 class ClassTable:
     """Signature-keyed partition of a form set."""
 
-    basis: tuple
     classes: dict = field(default_factory=dict)  # signature -> sorted members
     representatives: dict = field(default_factory=dict)  # signature -> rep label
 
@@ -121,7 +120,7 @@ class ClassTable:
 
 
 def _resolve_basis(basis):
-    if basis == "extended" or basis is None:
+    if basis == "extended":
         return EXTENDED_T_IDS
     if basis == "T":
         return T_IDS
@@ -193,7 +192,7 @@ def discover_classes(forms, basis="extended", processes: int | None = None) -> C
     """Partition forms by signature; the representative is the known class
     label when one lies in the class, else the maximal member."""
     sigs = signatures_for(forms, basis, processes)
-    table = ClassTable(basis=_resolve_basis(basis))
+    table = ClassTable()
     for n, sig in sigs.items():
         table.classes.setdefault(sig, []).append(n)
     known = set(GOLDEN.tables["nullcone_class_list"]) | set(

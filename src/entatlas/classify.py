@@ -25,7 +25,7 @@ from importlib import resources
 from .catalog import FLOAT_TOLERANCE, T_IDS, VPRIME_IDS, EvalSession, build_catalog
 from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z
 from .qstate import State, StateError, decode_form
-from .scalars import GaussianRational
+from .scalars import GaussianRational, exact_quotient
 
 
 class ClassifyFail(Exception):
@@ -317,7 +317,7 @@ def exact_rank(rows) -> int:
         pv = m[rank][col]
         for r in range(rank + 1, nrows):
             if m[r][col]:
-                factor = m[r][col] / pv if not isinstance(m[r][col], int) or not isinstance(pv, int) else Fraction(m[r][col], pv)
+                factor = exact_quotient(m[r][col], pv)
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
         rank += 1
         col += 1
@@ -366,7 +366,7 @@ def factor_separable(s: State):
             rest = r0
         else:
             j = next(i for i, c in enumerate(r0) if c)
-            lam = r1[j] / r0[j] if not isinstance(r1[j], int) or not isinstance(r0[j], int) else Fraction(r1[j], r0[j])
+            lam = exact_quotient(r1[j], r0[j])
             if any(r1[i] != lam * r0[i] for i in range(half)):
                 raise StateError("state is not separable")
             factors.append((1, lam))

@@ -47,7 +47,7 @@ from math import comb
 from .catalog import build_catalog
 from .poly import Polynomial, t as t_var, x as x_var
 from .qstate import State, StateError, cleared_amplitudes
-from .scalars import normalize_scalar
+from .scalars import exact_quotient, normalize_scalar
 
 SITE_OF = {"x": 1, "y": 2, "z": 3, "t": 4}
 PAIRS = ("xy", "xz", "xt", "yz", "yt", "zt")
@@ -90,7 +90,7 @@ def _over(v, d):
     """v / d as the simplest exact scalar (v is an int on cleared states)."""
     if d == 1:
         return normalize_scalar(v)
-    return normalize_scalar(Fraction(v, d) if isinstance(v, int) else v / d)
+    return normalize_scalar(exact_quotient(v, d))
 
 
 def _gram(amps, pair: str):
@@ -296,36 +296,42 @@ def all_invariants(s: State, pairs: bool = False) -> dict:
     return out
 
 
+def _verstraete_raw(s: State):
+    """Coefficients of t0^4, t0^3 t1, ..., t1^4 in the assembled quartic.
+
+    Each is a sign times a scale.  A scale equal to 0 or 1 enters as that
+    int, also on float states, so the coefficients keep the Python types of
+    the scale-times-monomial expansion (the tests' oracle)."""
+    B = inv_B(s)
+    L = inv_L(s)
+    M = inv_M(s)
+    Dxy = inv_D(s, "xy")
+    scales = (1, 2 * B, B * B + 2 * L + 4 * M, 4 * (B * (M + Fraction(1, 2) * L) + Dxy), L * L)
+    scales = [0 if not c else 1 if c == 1 else c for c in scales]
+    return tuple([-c if i % 2 else c for i, c in enumerate(scales)])
+
+
 def verstraete_quartic(s: State) -> Polynomial:
-    """The degree-4 binary form in (t0, t1) assembled from B, L, M, D_xy.
+    """The degree-4 binary form in (t0, t1) assembled from B, L, M, D_xy:
+
+        t0^4 - 2B t0^3 t1 + (B^2 + 2L + 4M) t0^2 t1^2
+             - 4(B(M + L/2) + D_xy) t0 t1^3 + L^2 t1^4.
 
     Its discriminant (S^3 - 27 T^2 of its binomial coefficients) equals
     hyperdet_delta exactly, and on the four-parameter diagonal family its
     roots are the squared parameters.  The cubic coefficient carries +D_xy;
     the printed source has -D_xy there, which breaks both properties.
     """
-    B = inv_B(s)
-    L = inv_L(s)
-    M = inv_M(s)
-    Dxy = inv_D(s, "xy")
-    t0, t1 = Polynomial.variable(t_var(0)), Polynomial.variable(t_var(1))
-    return (
-        t0 ** 4
-        - (2 * B) * t0 ** 3 * t1
-        + (B * B + 2 * L + 4 * M) * t0 ** 2 * t1 ** 2
-        - (4 * (B * (M + Fraction(1, 2) * L) + Dxy)) * t0 * t1 ** 3
-        + (L * L) * t1 ** 4
-    )
+    t0, t1 = t_var(0), t_var(1)
+    q = Polynomial.zero()
+    for i, raw in enumerate(_verstraete_raw(s)):
+        q = q + Polynomial.monomial(raw, {t0: 4 - i, t1: i})
+    return q
 
 
 def verstraete_quartic_coeffs(s: State):
     """Binomial coefficients (c0..c4) of the assembled quartic."""
-    q = verstraete_quartic(s)
-    cs = []
-    for i in range(5):
-        raw = q.coefficient({t_var(0): 4 - i, t_var(1): i})
-        cs.append(_over(raw, comb(4, i)))
-    return tuple(cs)
+    return tuple([_over(raw, comb(4, i)) for i, raw in enumerate(_verstraete_raw(s))])
 
 
 def is_nilpotent(s: State) -> bool:

@@ -13,10 +13,10 @@ extraction.  That is 26 variables in a fixed order:
 
 A monomial is stored as a single Python integer holding one 4-bit exponent
 field per variable (index v occupies bits 4v..4v+3).  Multiplying two
-monomials is then integer addition.  Catalog evaluation never needs a
-single-variable exponent above 15, but nothing enforces the bound: an
-exponent of 16 carries silently into the next variable's field
-(``x1_0**16`` reads as ``x1_1``).
+monomials is then integer addition, so an exponent of 16 would carry
+into the next variable's field (``x1_0**16`` would read as ``x1_1``).
+``Polynomial.__mul__`` (and so ``**``) raises ``PolynomialError`` instead;
+the raw kernels below are unchecked (see ``_mul_raw``).
 A polynomial is a dict mapping monomial keys to nonzero coefficients; the
 zero polynomial is the empty dict.  Coefficients are ints when possible,
 otherwise Fraction or GaussianRational (or float in approximate mode).
@@ -34,7 +34,6 @@ COPY_PRIMED = 1
 COPY_DPRIMED = 2
 
 N_VARS = 26
-AUX_T0, AUX_T1 = 24, 25
 
 # Exponent field width in the packed monomial key.
 _W = 4
@@ -75,12 +74,6 @@ class VariableId:
         if self.site == 0:
             return 24 + self.component
         return 8 * self.copy + 2 * (self.site - 1) + self.component
-
-    def __str__(self):
-        if self.site == 0:
-            return f"t{self.component}"
-        marks = ("", "'", "''")
-        return f"x{self.site}_{self.component}{marks[self.copy]}"
 
 
 def var_name(index: int) -> str:
@@ -135,6 +128,8 @@ def _scale_raw(a: dict, c) -> dict:
 
 
 def _mul_raw(a: dict, b: dict) -> dict:
+    """The product, with no check of the exponent bound: the catalog's site
+    degrees are at most 6, so its keys stay in range."""
     if not a or not b:
         return {}
     if len(a) > len(b):
@@ -150,6 +145,16 @@ def _mul_raw(a: dict, b: dict) -> dict:
             elif k in out:
                 del out[k]
     return out
+
+
+def _exponents(key: int) -> list:
+    """The N_VARS exponents packed in a monomial key, in variable order."""
+    return [(key >> (_W * v)) & _FIELD for v in range(N_VARS)]
+
+
+def _exponent_maxima(a: dict) -> list:
+    """Per variable, the largest exponent among the keys of ``a`` ([] if none)."""
+    return [max(column) for column in zip(*map(_exponents, a))]
 
 
 def _diff_raw(a: dict, index: int) -> dict:
@@ -216,6 +221,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            # Some pair of monomials overflows exactly when the two maxima do.
+            pairs = zip(_exponent_maxima(self.terms), _exponent_maxima(other.terms))
+            if any(ea + eb > _FIELD for ea, eb in pairs):
+                raise PolynomialError(f"an exponent would exceed {_FIELD}")
             return Polynomial(_mul_raw(self.terms, other.terms))
         return Polynomial(_scale_raw(self.terms, normalize_scalar(other)))
 
@@ -247,37 +256,6 @@ class Polynomial:
     def diff(self, v: VariableId) -> "Polynomial":
         return Polynomial(_diff_raw(self.terms, v.index))
 
-    def substitute(self, bindings: dict) -> "Polynomial":
-        """Simultaneous substitution {VariableId: Polynomial}."""
-        if not bindings:
-            return self
-        by_index = {v.index: p for v, p in bindings.items()}
-        out: dict = {}
-        for key, coeff in self.terms.items():
-            factor = {0: coeff}
-            rest = 0
-            k = key
-            idx = 0
-            while k:
-                e = k & _FIELD
-                if e:
-                    if idx in by_index:
-                        repl = by_index[idx].terms
-                        for _ in range(e):
-                            factor = _mul_raw(factor, repl)
-                            if not factor:
-                                break
-                    else:
-                        rest += e << (_W * idx)
-                k >>= _W
-                idx += 1
-            if not factor:
-                continue
-            if rest:
-                factor = {mk + rest: mc for mk, mc in factor.items()}
-            out = _add_raw(out, factor)
-        return Polynomial(out)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -285,10 +263,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def degree_in(self, v: VariableId) -> int:
-        shift = _W * v.index
-        return max(((k >> shift) & _FIELD for k in self.terms), default=0)
 
     def multidegree(self):
         """Sitewise degrees (d1, d2, d3, d4) over the base variables.
@@ -331,24 +305,10 @@ class Polynomial:
         (highest total degree first; ties broken lexicographically)."""
 
         def gradekey(item):
-            key = item[0]
-            exps = [0] * N_VARS
-            idx = 0
-            while key:
-                exps[idx] = key & _FIELD
-                key >>= _W
-                idx += 1
+            exps = _exponents(item[0])
             return (sum(exps), exps)
 
         return sorted(self.terms.items(), key=gradekey, reverse=True)
-
-    def map_coefficients(self, fn) -> "Polynomial":
-        out = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[k] = v
-        return Polynomial(out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -358,15 +318,10 @@ class Polynomial:
         parts = []
         for key, coeff in self.sorted_terms():
             factors = []
-            idx = 0
-            k = key
-            while k:
-                e = k & _FIELD
+            for idx, e in enumerate(_exponents(key)):
                 if e:
                     name = var_name(idx)
                     factors.append(name if e == 1 else f"{name}^{e}")
-                k >>= _W
-                idx += 1
             mono = "*".join(factors)
             if not mono:
                 parts.append(_coeff_str(coeff))

@@ -124,6 +124,14 @@ def normalize_scalar(c):
     return c
 
 
+def exact_quotient(a, b):
+    """a / b, exact on ints: int/int gives a ``Fraction``, any other pair
+    (``Fraction``, ``GaussianRational`` or float) uses its own ``/``."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
 def format_rational(c) -> str:
     """Render an exact rational as "p" or "p/q"."""
     f = Fraction(c)

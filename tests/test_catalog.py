@@ -12,6 +12,7 @@ from entatlas.catalog import (
     CatalogError,
     CovariantId,
     EXTENDED_T_IDS,
+    EvalSession,
     T_IDS,
     _parse_line,
     catalog_file_sha256,
@@ -251,6 +252,21 @@ def test_evaluated_multihomogeneity(catalog):
     for cid in list(catalog.order)[:60]:
         p = sess.eval(cid)
         assert p.is_zero() or p.multidegree() == cid.multidegree
+
+
+def test_value_rejects_wrong_multidegree(catalog, monkeypatch):
+    # The kernel checks nothing, so _value's per-covariant check is what
+    # stops a value of the wrong multidegree: shift every kernel result by
+    # x1_0, which makes B_0000 = (1/2)(A, A)^1111 of multidegree (1, 0, 0, 0).
+    kernel = EvalSession._transvect_ground
+
+    def shifted(self, terms, idx):
+        return {k + 1: c for k, c in kernel(self, terms, idx).items()}
+
+    monkeypatch.setattr(EvalSession, "_transvect_ground", shifted)
+    sess = catalog.session(random_state(17))
+    with pytest.raises(CatalogError, match=r"B_0000: evaluated multidegree \(1, 0, 0, 0\)"):
+        sess.eval("B_0000")
 
 
 def test_signature_sl_invariance(catalog):

@@ -40,7 +40,7 @@ from entatlas.qstate import (
     random_state,
     to_ground_form,
 )
-from entatlas.scalars import GaussianRational
+from entatlas.scalars import GaussianRational, exact_quotient, normalize_scalar
 
 from conftest import ket_state
 
@@ -276,6 +276,40 @@ def test_quartic_discriminant_is_delta():
         assert quartic_delta(verstraete_quartic_coeffs(s)) == hyperdet_delta(s)
 
 
+def _verstraete_via_products(s: State) -> Polynomial:
+    """The assembled quartic as a sum of scalars times powers of t0 and t1,
+    the oracle of the closed form in verstraete_quartic(_coeffs)."""
+    B, L, M, Dxy = inv_B(s), inv_L(s), inv_M(s), inv_D(s, "xy")
+    t0, t1 = Polynomial.variable(t_var(0)), Polynomial.variable(t_var(1))
+    return (
+        t0 ** 4
+        - (2 * B) * t0 ** 3 * t1
+        + (B * B + 2 * L + 4 * M) * t0 ** 2 * t1 ** 2
+        - (4 * (B * (M + Fraction(1, 2) * L) + Dxy)) * t0 * t1 ** 3
+        + (L * L) * t1 ** 4
+    )
+
+
+def test_verstraete_closed_form_matches_products():
+    ints, fracs, gauss = _gram_test_states()
+    forms = [decode_form(n) for n in (59520, 65257, 65534, 65218)]
+    # Float images of secant forms have L = 0.0, and those of 65534 a
+    # t0^2 t1^2 scale of exactly 1.0: both must stay exact, as in the oracle.
+    floats = [State([float(a) for a in apply_local(random_sl2_tuple(k), f).amps])
+              for k, f in enumerate(forms)]
+    floats += [State([float(a) * 0.37 for a in s.amps]) for s in ints]
+    for s in ints + forms + fracs + gauss + floats:
+        q = _verstraete_via_products(s)
+        assert verstraete_quartic(s).terms == q.terms
+        expected = [
+            normalize_scalar(exact_quotient(q.coefficient({t_var(0): 4 - i, t_var(1): i}),
+                                            math.comb(4, i)))
+            for i in range(5)
+        ]
+        got = verstraete_quartic_coeffs(s)
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in expected], s
+
+
 def test_quartic_roots_on_diagonal_family():
     a, b, c, d = 1, 2, 3, 5
     h = Fraction(1, 2)
@@ -288,11 +322,10 @@ def test_quartic_roots_on_diagonal_family():
     ):
         amps[bits[0] + 2 * bits[1] + 4 * bits[2] + 8 * bits[3]] = v
     s = State(amps)
-    q = verstraete_quartic(s)
-    t0, t1 = t_var(0), t_var(1)
+    cs = verstraete_quartic_coeffs(s)
     for r in (a, b, c, d):
-        val = q.substitute({t0: Polynomial.constant(r * r), t1: Polynomial.constant(1)})
-        assert val.is_zero()
+        # R(r^2, 1) = sum comb(4, i) c_i (r^2)^(4 - i)
+        assert sum(math.comb(4, i) * c * r ** (2 * (4 - i)) for i, c in enumerate(cs)) == 0
 
 
 def test_nilpotency_predicates(w_state, ghz):

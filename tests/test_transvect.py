@@ -40,10 +40,7 @@ def test_omega_square_degree_bookkeeping():
     xd0 = Polynomial.variable(x(1, 0, COPY_DPRIMED))
     xd1 = Polynomial.variable(x(1, 1, COPY_DPRIMED))
     p = (xp0 + xp1) ** 2 * (xd0 - 2 * xd1) ** 2
-    out = omega_power(p, 1, 2)
-    assert out.degree_in(x(1, 0, COPY_PRIMED)) == 0
-    assert out.degree_in(x(1, 1, COPY_DPRIMED)) == 0
-    assert out == Polynomial.constant(36)
+    assert omega_power(p, 1, 2) == Polynomial.constant(36)
 
 
 def test_degree_law_on_random_forms():
