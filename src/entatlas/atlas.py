@@ -119,15 +119,17 @@ class ClassTable:
         raise KeyError(n)
 
 
+BASES = ("extended", "T", "full")
+
+
 def _resolve_basis(basis):
     if basis == "extended":
         return EXTENDED_T_IDS
     if basis == "T":
         return T_IDS
     if basis == "full":
-        cat = build_catalog()
-        return tuple(cat.order)
-    return tuple(basis)
+        return tuple(build_catalog().order)
+    raise ValueError(f"unknown basis {basis!r}; expected one of {', '.join(BASES)}")
 
 
 def _signature_worker(args):
@@ -167,6 +169,7 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     signature is constant on a flip orbit.  (Qubit permutations are not
     used: see the catalog notes.)
     """
+    _resolve_basis(basis)  # an unknown name fails here, not in a worker
     forms = list(forms)
     keys = [_flip_key(n) for n in forms]
     first = {}
@@ -326,11 +329,13 @@ def verify_tables() -> Report:
 
     tables = GOLDEN.tables
     report = Report()
+
+    def check(name, got, want):
+        report.add(name, got == want, "" if got == want else f"{got} != {want}")
+
     for label_s, rows in tables["evaluation_blocks"].items():
         n = int(label_s)
-        got = split_T(session(n).signature(T_IDS))
-        want = [list(r) for r in rows]
-        report.add(f"blocks[{n}]", got == want, "" if got == want else f"{got} != {want}")
+        check(f"blocks[{n}]", split_T(session(n).signature(T_IDS)), [list(r) for r in rows])
     strata = {}
     for rec in GOLDEN.orbits.values():
         strata.setdefault(rec.group, []).append(rec.label)
@@ -338,25 +343,16 @@ def verify_tables() -> Report:
         for label in sorted(strata.get(gr, [])):
             if label == 0:
                 continue
-            got = list(session(label).vector_V())
-            report.add(f"strata_V[{gr}][{label}]", got == list(want),
-                       "" if got == list(want) else f"{got} != {list(want)}")
-    got = list(session(0).vector_V())
-    report.add("strata_V[Gr_0][0]", got == tables["strata_V"]["Gr_0"])
+            check(f"strata_V[{gr}][{label}]", list(session(label).vector_V()), list(want))
+    check("strata_V[Gr_0][0]", list(session(0).vector_V()), tables["strata_V"]["Gr_0"])
     for label_s, row in tables["vprime_classes"].items():
         n = int(label_s)
-        got = list(session(n).signature(VPRIME_IDS))
-        report.add(f"vprime[{n}]", got == row["vprime"],
-                   "" if got == row["vprime"] else f"{got} != {row['vprime']}")
+        check(f"vprime[{n}]", list(session(n).signature(VPRIME_IDS)), row["vprime"])
     for label_s, row in tables["vpp_classes"].items():
         n = int(label_s)
-        got = list(session(n).vector_Vpp())
-        report.add(f"vpp[{n}]", got == row["vpp"],
-                   "" if got == row["vpp"] else f"{got} != {row['vpp']}")
+        check(f"vpp[{n}]", list(session(n).vector_Vpp()), row["vpp"])
     for label_s, row in tables["vpp_classes"].items():
         n = int(label_s)
         want = tables["strata_W"][row["stratum"]]
-        got = list(session(n).vector_W())
-        report.add(f"W[{row['stratum']}][{n}]", got == want,
-                   "" if got == want else f"{got} != {want}")
+        check(f"W[{row['stratum']}][{n}]", list(session(n).vector_W()), want)
     return report

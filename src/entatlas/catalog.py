@@ -23,8 +23,10 @@ evaluation runs once per covariant, where its value is memoized
 multidegree.  ``Catalog.session`` hands out a new session on every call and
 the catalog keeps none, so a caller that reads one state several times
 holds its session, and states evaluate independently in parallel.  The
-composite vectors build no product polynomial: a product's bit is the
-conjunction of its factors' bits (``EvalSession._product_bit``).
+composite vectors V, V'' and W are tables of covariant groups (``V_SPEC``,
+``VPP_SPEC``, ``W_SPEC``) decided by one rule, ``EvalSession.bits``, which
+builds no sum or product polynomial: the summands of a group have distinct
+multidegrees, and a product's bit is the conjunction of its factors' bits.
 
 The basis is not closed under qubit permutations, so nullities need not
 follow one.  The degree-4 D_{2200} family is (A, C1_1111)^idx, and
@@ -281,7 +283,6 @@ class EvalSession:
 
     def __init__(self, catalog: Catalog, state: State):
         self.catalog = catalog
-        self.state = state
         self.float_mode = any(isinstance(a, float) for a in state.amps)
         q, amps = cleared_amplitudes(state) or (1, state.amps)
         self.scale = q
@@ -289,7 +290,6 @@ class EvalSession:
         self._slices = {}
         # The slice that takes no derivative is the ground form itself.
         self._values = {GROUND_ID: self._ground_slice((0, 0, 0, 0))}
-        self._bold_F = None
         self.min_margin = float("inf")
 
     # Derivative slices of the multilinear ground form.  Selector per site:
@@ -391,17 +391,19 @@ class EvalSession:
         self._values[cid] = value
         return value
 
-    def _bit(self, terms: dict) -> int:
-        """1 if the value with these terms is nonzero, else 0.
+    def _bit(self, group) -> int:
+        """1 if the sum of the covariants in ``group`` is nonzero, else 0.
 
-        Exact mode: the value is zero exactly when it has no terms.  Float
-        mode: its largest coefficient magnitude is compared with
+        The group's multidegrees are pairwise distinct (see ``bits``), so
+        exact mode tests whether any value has terms.  Float mode: the
+        largest coefficient magnitude over the values is compared with
         ``FLOAT_TOLERANCE``, and the ratio is recorded as a margin."""
+        values = [self._value(cid) for cid in group]
         if not self.float_mode:
-            return 1 if terms else 0
+            return 1 if any(values) else 0
         mag = max(
             (abs(complex(c.re, c.im)) if isinstance(c, GaussianRational) else abs(float(c))
-             for c in terms.values()),
+             for terms in values for c in terms.values()),
             default=0.0,
         )
         if mag > FLOAT_TOLERANCE:
@@ -412,7 +414,7 @@ class EvalSession:
         return 0
 
     def nullity(self, cid) -> int:
-        return self._bit(self._value(cid))
+        return self._bit((cid,))
 
     def signature(self, cids) -> tuple:
         return tuple(self.nullity(cid) for cid in cids)
@@ -425,70 +427,37 @@ class EvalSession:
 
     # -- composite vectors ---------------------------------------------------
 
-    def _sum(self, names) -> dict:
-        return _add_all(self._value(name) for name in names)
+    def bits(self, spec) -> tuple:
+        """The bits of a composite vector, one per entry of ``spec``.
 
-    def _product_bit(self, factors) -> int:
-        """The bit of the product of ``factors``, decided without forming it.
+        An entry is a tuple of groups of catalog ids (see ``V_SPEC``): a
+        group stands for the sum of its covariants and the entry for the
+        product of its groups.  Neither is formed.
 
-        Exact mode: the bit is the conjunction of the factor bits.  Q[x] and
-        Q(i)[x] are integral domains, so a product is nonzero if and only if
-        every factor is nonzero; the conjunction therefore equals the exact
-        nonzero test of the literal product.  Float mode: the bit is the
-        minimum of the factor bits, each decided by ``_bit`` at
-        ``FLOAT_TOLERANCE`` (and each recording its margin).
+        Sums.  Within a group the multidegrees are pairwise distinct, and a
+        nonzero value is multihomogeneous of its declared multidegree
+        (checked in ``_value``), so the summands have disjoint supports.
+        The sum is therefore zero if and only if every summand is zero, and
+        its largest coefficient magnitude is the largest over the summands:
+        ``_bit`` over all coefficients of the group's values is the bit of
+        the sum, float margin included.
+
+        Products.  Exact mode: Q[x] and Q(i)[x] are integral domains, so a
+        product is nonzero if and only if every factor is, and its bit is
+        the minimum of the group bits.  Float mode: the bit is that same
+        minimum, each group decided by ``_bit`` at ``FLOAT_TOLERANCE`` (and
+        each recording its margin).
         """
-        return min(self._bit(terms) for terms in factors)
+        return tuple(min(self._bit(group) for group in entry) for entry in spec)
 
     def vector_V(self) -> tuple:
-        cs = ["C_3111", "C_1311", "C_1131", "C_1113"]
-        bit = self._bit
-        return (
-            bit(self._value("A")),
-            bit(self._sum(["B_2200", "B_2020", "B_2002", "B_0220", "B_0202", "B_0022"])),
-            bit(self._sum(cs)),
-            self._product_bit([self._value(c) for c in cs]),
-            bit(self._sum(["D_4000", "D_0400", "D_0040", "D_0004"])),
-            bit(self._sum(["D_2200", "D_2020", "D_2002", "D_0220", "D_0202", "D_0022"])),
-            bit(self._sum(["F1_2220", "F1_2202", "F1_2022", "F1_0222"])),
-            bit(self._sum(["L_6000", "L_0600", "L_0060", "L_0006"])),
-        )
-
-    def bold_F(self) -> list:
-        """The six paired degree-6 sums F_{**00} .. F_{00**} (built once)."""
-        if self._bold_F is None:
-            self._bold_F = [
-                self._sum(["F_4200", "F_2400"]),
-                self._sum(["F_4020", "F_2040"]),
-                self._sum(["F_4002", "F_2004"]),
-                self._sum(["F_0420", "F_0240"]),
-                self._sum(["F_0402", "F_0204"]),
-                self._sum(["F_0042", "F_0024"]),
-            ]
-        return self._bold_F
+        return self.bits(V_SPEC)
 
     def vector_Vpp(self) -> tuple:
-        bits = [self._bit(terms) for terms in self.bold_F()]
-        bits += [self.nullity(n) for n in ("L_6000", "L_0600", "L_0060", "L_0006")]
-        return tuple(bits)
+        return self.bits(VPP_SPEC)
 
     def vector_W(self) -> tuple:
-        bf = self.bold_F()
-        # over_i is F_42 minus bold-F pair i and its complementary pair 5 - i:
-        # the sum of the other four pairs.
-        overs = [_add_all(bf[j] for j in range(6) if j not in (i, 5 - i)) for i in range(3)]
-        return (
-            self._bit(_add_all(bf)),
-            self._product_bit(overs),
-            self._product_bit(bf),
-        )
-
-
-def _add_all(parts) -> dict:
-    acc: dict = {}
-    for terms in parts:
-        acc = _add_raw(acc, terms)
-    return acc
+        return self.bits(W_SPEC)
 
 
 def _ids(*names):
@@ -507,19 +476,6 @@ T_IDS = _ids(
 
 T_ROW_LENGTHS = (1, 6, 4, 4, 6, 4, 4)
 
-VPRIME_IDS = _ids("L_6000", "L_0600", "L_0060", "L_0006")
-
-# Extended discovery basis: the T list plus the degree-6 covariants feeding
-# V'' and the catalog's own degree-2 invariant.  These are exactly the bits
-# the golden evaluation tables summarize, and the partition they induce
-# coincides with the full catalog's on both census runs; the slow
-# cross-check test compares against full-catalog signatures on a sample.
-EXTENDED_T_IDS = T_IDS + _ids(
-    "B_0000",
-    "F_4200", "F_2400", "F_4020", "F_2040", "F_4002", "F_2004",
-    "F_0420", "F_0240", "F_0402", "F_0204", "F_0042", "F_0024",
-)
-
 
 def split_T(signature) -> list:
     """Split a 29-bit T signature into its seven printed rows."""
@@ -529,3 +485,38 @@ def split_T(signature) -> list:
         rows.append(list(signature[pos : pos + n]))
         pos += n
     return rows
+
+
+_A, _B, _C, _D4, _D22, _F1, _L = (tuple(row) for row in split_T(T_IDS))
+
+VPRIME_IDS = _L
+
+# The six bold-F pairs F_{**00} .. F_{00**}; pairs i and 5 - i cover
+# complementary sites.
+_BOLD_F = (
+    _ids("F_4200", "F_2400"), _ids("F_4020", "F_2040"), _ids("F_4002", "F_2004"),
+    _ids("F_0420", "F_0240"), _ids("F_0402", "F_0204"), _ids("F_0042", "F_0024"),
+)
+
+# Extended discovery basis: the T list plus the degree-6 covariants feeding
+# V'' and the catalog's own degree-2 invariant.  These are exactly the bits
+# the golden evaluation tables summarize, and the partition they induce
+# coincides with the full catalog's on both census runs; the slow
+# cross-check test compares against full-catalog signatures on a sample.
+EXTENDED_T_IDS = T_IDS + _ids("B_0000") + sum(_BOLD_F, ())
+
+# The composite vectors, one entry per bit, decided by ``EvalSession.bits``:
+# an entry is a tuple of groups, a group stands for the sum of its
+# covariants and the entry for the product of its groups.
+# V: the sum of each T row, and as bit 3 the product of the C row.
+V_SPEC = ((_A,), (_B,), (_C,), tuple((c,) for c in _C), (_D4,), (_D22,), (_F1,), (_L,))
+# V'': the six bold-F sums, then each sextic L on its own.
+VPP_SPEC = tuple((pair,) for pair in _BOLD_F) + tuple(((c,),) for c in _L)
+# W: F_42, the sum of all six pairs; the product of over_0, over_1 and
+# over_2, where over_i is F_42 without pairs i and 5 - i; the product of
+# the six pairs.
+W_SPEC = (
+    (sum(_BOLD_F, ()),),
+    tuple(sum((_BOLD_F[j] for j in range(6) if j not in (i, 5 - i)), ()) for i in range(3)),
+    _BOLD_F,
+)

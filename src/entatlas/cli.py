@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .atlas import (
+    BASES,
     adherence_order,
     discover_classes,
     enumerate_forms,
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("variety", choices=("nullcone", "secant3"))
-        p.add_argument("--basis", default="extended", choices=("extended", "T", "full"))
+        p.add_argument("--basis", default="extended", choices=BASES)
         p.add_argument("--processes", type=int, default=None,
                        help="worker count (default: cpu count)")
         if name == "atlas":

@@ -299,16 +299,14 @@ def all_invariants(s: State, pairs: bool = False) -> dict:
 def _verstraete_raw(s: State):
     """Coefficients of t0^4, t0^3 t1, ..., t1^4 in the assembled quartic.
 
-    Each is a sign times a scale.  A scale equal to 0 or 1 enters as that
-    int, also on float states, so the coefficients keep the Python types of
-    the scale-times-monomial expansion (the tests' oracle)."""
+    Each is a sign times a scale.  The odd ones are negated as ``0 - c``,
+    so a vanishing float scale gives 0.0, not -0.0."""
     B = inv_B(s)
     L = inv_L(s)
     M = inv_M(s)
     Dxy = inv_D(s, "xy")
     scales = (1, 2 * B, B * B + 2 * L + 4 * M, 4 * (B * (M + Fraction(1, 2) * L) + Dxy), L * L)
-    scales = [0 if not c else 1 if c == 1 else c for c in scales]
-    return tuple([-c if i % 2 else c for i, c in enumerate(scales)])
+    return tuple([0 - c if i % 2 else c for i, c in enumerate(scales)])
 
 
 def verstraete_quartic(s: State) -> Polynomial:

@@ -93,6 +93,14 @@ def test_discover_small_set():
     assert table.signature_of(59520) == signatures_for([59520], processes=1)[59520]
 
 
+@pytest.mark.parametrize("basis", ["extnded", "", ("A", "B_0000")])
+def test_unknown_basis_rejected(basis):
+    """Only the three basis names are accepted, and an unknown one fails
+    with a ValueError naming them before any signature is computed."""
+    with pytest.raises(ValueError, match="extended, T, full"):
+        discover_classes([59520], basis=basis, processes=1)
+
+
 def test_adherence_on_small_table():
     table = discover_classes([0, 65535, 59520, 65534, 65520], processes=1)
     graph = adherence_order(table)

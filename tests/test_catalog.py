@@ -14,6 +14,9 @@ from entatlas.catalog import (
     EXTENDED_T_IDS,
     EvalSession,
     T_IDS,
+    V_SPEC,
+    VPP_SPEC,
+    W_SPEC,
     _parse_line,
     catalog_file_sha256,
     split_T,
@@ -240,9 +243,10 @@ def test_memoization(catalog):
     sess = catalog.session(s)
     # C_3111 is nonzero on the W state and D_4000 vanishes; both memoize.
     for name, nonzero in (("C_3111", True), ("D_4000", False)):
-        first = sess._value(name)
+        cid = CovariantId.parse(name)
+        first = sess._value(cid)
         assert bool(first) == nonzero
-        assert sess._value(name) is first
+        assert sess._value(cid) is first
         assert sess.eval(name).terms is first
 
 
@@ -294,43 +298,55 @@ def test_b0000_matches_parity_formula(catalog):
         assert 2 * val == explicit
 
 
-def _literal_product(polys):
-    acc = Polynomial.constant(1)
-    for p in polys:
-        acc = acc * p
-    return acc
+SPECS = {"V": V_SPEC, "Vpp": VPP_SPEC, "W": W_SPEC}
+
+
+def test_spec_groups_have_distinct_multidegrees(catalog):
+    """``EvalSession.bits`` decides a group's sum from its summands alone,
+    which holds because their multidegrees, hence their supports, are
+    pairwise distinct."""
+    for name, spec in SPECS.items():
+        for entry in spec:
+            assert entry, name
+            for group in entry:
+                assert group and all(cid in catalog for cid in group), (name, group)
+                degrees = [cid.multidegree for cid in group]
+                assert len(set(degrees)) == len(degrees), (name, group)
+
+
+def _literal_bits(sess, spec):
+    """Each bit of ``spec`` from the literal sums and products of the
+    evaluated covariants."""
+    bits = []
+    for entry in spec:
+        product = Polynomial.constant(1)
+        for group in entry:
+            product = product * sum((sess.eval(cid) for cid in group), Polynomial.zero())
+        bits.append(int(not product.is_zero()))
+    return tuple(bits)
 
 
 def test_product_bits_match_literal_products(catalog):
-    """The V bit of C_3111·C_1311·C_1131·C_1113 and the W bits of
-    over_0·over_1·over_2 and of the six bold-F sums are decided as the
-    conjunction of the factor bits; each must equal the nonzero test of the
-    literal product.  States: the normal form of every T_V-branch (nilpotent)
-    and Vpp_W-branch class, and two SL2^4 images of each.  Site degrees of
-    these products stay <= 12, inside the 4-bit exponent field."""
+    """Every bit of V, V'' and W, decided from the spec tables without
+    forming a sum or product, equals the nonzero test of the literal sums
+    and products.  States: the normal form of every T_V-branch (nilpotent)
+    class, checked on V, and of every Vpp_W-branch class, checked on V''
+    and W, each with two SL2^4 images.  Site degrees of these products stay
+    <= 12, inside the 4-bit exponent field."""
     records = orbit_records()
-    branches = [(label, "V") for label in GOLDEN.tables["nullcone_class_list"] if label]
-    branches += [(int(label), "W") for label in GOLDEN.tables["vpp_classes"]]
-    seen = {"V": set(), "W_over": set(), "W_F": set()}
-    for label, vector in branches:
+    branches = [(label, ("V",)) for label in GOLDEN.tables["nullcone_class_list"] if label]
+    branches += [(int(label), ("Vpp", "W")) for label in GOLDEN.tables["vpp_classes"]]
+    seen = {("V", 3): set(), ("W", 1): set(), ("W", 2): set()}
+    for label, names in branches:
         nf = records[label].normal_form
         for s in [nf] + [apply_local(random_sl2_tuple(label * 100 + i), nf) for i in range(2)]:
             sess = catalog.session(s)
-            if vector == "V":
-                cs = [sess.eval(c) for c in ("C_3111", "C_1311", "C_1131", "C_1113")]
-                literal = int(not _literal_product(cs).is_zero())
-                assert sess.vector_V()[3] == literal, (label, s)
-                seen["V"].add(literal)
-                continue
-            bf = [Polynomial(terms) for terms in sess.bold_F()]
-            f42 = sum(bf, Polynomial.zero())
-            overs = [f42 - bf[0] - bf[5], f42 - bf[1] - bf[4], f42 - bf[2] - bf[3]]
-            literal = (
-                int(not _literal_product(overs).is_zero()),
-                int(not _literal_product(bf).is_zero()),
-            )
-            assert sess.vector_W()[1:] == literal, (label, s)
-            seen["W_over"].add(literal[0])
-            seen["W_F"].add(literal[1])
-    # Each bit is exercised both ways, so the comparison cannot pass vacuously.
+            for name in names:
+                got = getattr(sess, f"vector_{name}")()
+                assert got == _literal_bits(sess, SPECS[name]), (label, name, s)
+                for (vector, pos), bits in seen.items():
+                    if vector == name:
+                        bits.add(got[pos])
+    # Each product bit is exercised both ways, so the comparison cannot pass
+    # vacuously.
     assert all(bits == {0, 1} for bits in seen.values()), seen
