@@ -60,7 +60,10 @@ def enumerate_forms(filter_spec="all") -> list:
     """
     if filter_spec == "all":
         return list(range(65536))
-    pred = _FILTERS[filter_spec]
+    pred = _FILTERS.get(filter_spec)
+    if pred is None:
+        names = ", ".join(("all", *_FILTERS))
+        raise ValueError(f"unknown filter {filter_spec!r}; expected one of {names}")
     verdict = bytearray(65536)  # 0 not yet seen, 1 dropped, 2 kept
     for n in range(65536):
         if not verdict[n]:  # n is the least member of a new orbit

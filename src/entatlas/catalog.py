@@ -366,8 +366,6 @@ class EvalSession:
         The kernel repeats none of the load-time checks, so this is the one
         place a value is checked: once per covariant, a nonzero value must
         be multihomogeneous of the declared multidegree."""
-        if isinstance(cid, str):
-            cid = CovariantId.parse(cid)
         value = self._values.get(cid)
         if value is not None:
             return value

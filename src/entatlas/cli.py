@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (StateError, FileNotFoundError, ValueError) as e:
+    except (StateError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ClassifyFail as e:

@@ -26,6 +26,12 @@ products as (i, j, sign) triples of amplitude indices, built once at
 import: 32 per pair (2 at the corners of the 3x3 matrix, 8 at its
 centre), so no polynomial is formed.
 
+Flattening tables.  L, M and N are determinants of 4x4 flattenings:
+rows set the bits of one site pair, columns those of the other pair, in
+the orders of ``_DET_SPLITS``.  ``_FLAT`` stores each as a 4x4 tuple of
+amplitude indices and ``_B_SIGNS`` the sign (-1)^|b| of each index in
+B's pairing, both built once at import.
+
 Quartic.  Write b_xt = m0(t) x0^2 + m1(t) x0 x1 + m2(t) x1^2 with
 m_p(t) = sum_q m[p][q] t0^(2-q) t1^q, m the xt Gram matrix.  The Hessian
 of b_xt in the site-1 variables is [[2 m0, m1], [m1, 2 m2]], so
@@ -81,6 +87,20 @@ def _gram_table(pair: str):
 _GRAM = {pair: _gram_table(pair) for pair in PAIRS}
 
 
+def _flat_table(row_sites, col_sites, row_order, col_order):
+    """The 4x4 amplitude indices of a flattening, as named in _DET_SPLITS."""
+    r1, r2, c1, c2 = (site - 1 for site in row_sites + col_sites)
+    return tuple(
+        tuple(ra << r1 | rb << r2 | ca << c1 | cb << c2 for ca, cb in col_order)
+        for ra, rb in row_order
+    )
+
+
+_FLAT = {name: _flat_table(*split) for name, split in _DET_SPLITS.items()}
+
+_B_SIGNS = tuple((b, -1 if bin(b).count("1") & 1 else 1) for b in range(16))
+
+
 def _cleared(s: State):
     """(q, amplitudes to compute on): q*a for a rational state, else (1, a)."""
     return cleared_amplitudes(s) or (1, s.amps)
@@ -132,34 +152,9 @@ def _det4(m):
     return total
 
 
-def _flattening(amps, row_sites, col_sites, row_order, col_order):
-    def amp(assign):
-        b = 0
-        for site, bit in assign:
-            b |= bit << (site - 1)
-        return amps[b]
-
-    m = []
-    for ra, rb in row_order:
-        row = []
-        for ca, cb in col_order:
-            row.append(
-                amp(
-                    (
-                        (row_sites[0], ra),
-                        (row_sites[1], rb),
-                        (col_sites[0], ca),
-                        (col_sites[1], cb),
-                    )
-                )
-            )
-        m.append(row)
-    return m
-
-
 def _quartic_det(s: State, name: str):
     q, amps = _cleared(s)
-    return _over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4)
+    return _over(_det4([[amps[i] for i in row] for row in _FLAT[name]]), q ** 4)
 
 
 def inv_L(s: State):
@@ -178,10 +173,9 @@ def inv_B(s: State):
     """The quadratic invariant as the signed pairing sum_I (-1)^|I| a_I a_Ibar / 2."""
     q, amps = _cleared(s)
     total = 0
-    for b in range(16):
+    for b, sign in _B_SIGNS:
         a = amps[b]
         if a:
-            sign = -1 if bin(b).count("1") & 1 else 1
             total = total + sign * a * amps[15 - b]
     return _over(total, 2 * q * q)
 
@@ -264,10 +258,13 @@ def delta_via_sextic(s: State):
     return normalize_scalar(DELTA_I2_FACTOR * inv_I2(s))
 
 
+def _z(B, Dxy):
+    return normalize_scalar(Dxy - Fraction(1, 27) * B ** 3)
+
+
 def inv_Z(s: State):
     """Z = D_xy - B^3/27, the extra invariant of the extended secant atlas."""
-    B = inv_B(s)
-    return normalize_scalar(inv_D(s, "xy") - Fraction(1, 27) * B ** 3)
+    return _z(inv_B(s), inv_D(s, "xy"))
 
 
 def all_invariants(s: State, pairs: bool = False) -> dict:
@@ -286,8 +283,8 @@ def all_invariants(s: State, pairs: bool = False) -> dict:
         "Dxy": Dxy,
         "S": S,
         "T": T,
-        "Delta": normalize_scalar(S ** 3 - 27 * T * T),
-        "Z": normalize_scalar(Dxy - Fraction(1, 27) * B ** 3),
+        "Delta": quartic_delta(cs),
+        "Z": _z(B, Dxy),
         "I2": inv_I2(s),
     }
     if pairs:

@@ -48,9 +48,6 @@ class State:
     def __getitem__(self, b: int):
         return self.amps[b]
 
-    def amplitude(self, i1, i2, i3, i4):
-        return self.amps[_index(i1, i2, i3, i4)]
-
     def __eq__(self, other):
         return isinstance(other, State) and self.amps == other.amps
 
@@ -272,12 +269,6 @@ class QubitPermutation:
     @classmethod
     def identity(cls):
         return cls((1, 2, 3, 4))
-
-    @classmethod
-    def all(cls):
-        import itertools
-
-        return [cls(p) for p in itertools.permutations((1, 2, 3, 4))]
 
     def __eq__(self, other):
         return isinstance(other, QubitPermutation) and self.images == other.images

@@ -29,6 +29,12 @@ def test_enumerate_all():
     assert len(enumerate_forms("all")) == 65536
 
 
+@pytest.mark.parametrize("name", ["secant", "", "Nullcone"])
+def test_unknown_filter_rejected(name):
+    with pytest.raises(ValueError, match="all, nullcone, secant3"):
+        enumerate_forms(name)
+
+
 def test_filters_on_known_forms():
     assert nullcone_filter(decode_form(59520))
     assert not nullcone_filter(decode_form(65534))

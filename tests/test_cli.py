@@ -85,6 +85,21 @@ def test_classify_malformed_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", "--in", "{dir}"), ("atlas", "nullcone", "--out", "{file}")],
+    ids=["classify-in-directory", "atlas-out-existing-file"],
+)
+def test_os_errors_exit_1(tmp_path, capsys, argv):
+    """A path the OS refuses gives an error line and exit 1; the atlas case
+    fails when it makes its output directory, before any census work."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, *(a.format(dir=tmp_path, file=taken) for a in argv))
+    assert code == 1 and not out
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def _amplitudes(entry, rest=(0, 1)):
     return json.dumps({"amplitudes": [entry] + [list(rest)] * 15})
 

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from entatlas.invariants import (
+    _DET_SPLITS,
     PAIRS,
     SITE_OF,
+    _det4,
+    _over,
     all_invariants,
     delta_via_sextic,
     hyperdet_delta,
@@ -35,6 +38,7 @@ from entatlas.qstate import (
     State,
     StateError,
     apply_local,
+    cleared_amplitudes,
     decode_form,
     random_sl2_tuple,
     random_state,
@@ -152,6 +156,52 @@ def test_gram_tables_match_b_form_on_floats():
 # Amplitude degree of each entry of _table_and_oracle: per pair nine Gram
 # entries (2) and D_uv (6), then the five quartic coefficients (4).
 _GRAM_DEGREES = ([2] * 9 + [6]) * 6 + [4] * 5
+
+
+def _flattening(amps, row_sites, col_sites, row_order, col_order):
+    """A 4x4 flattening assembled site by site: the oracle of the index
+    tables that L, M and N read."""
+
+    def amp(assign):
+        b = 0
+        for site, bit in assign:
+            b |= bit << (site - 1)
+        return amps[b]
+
+    return [
+        [amp(((row_sites[0], ra), (row_sites[1], rb), (col_sites[0], ca), (col_sites[1], cb)))
+         for ca, cb in col_order]
+        for ra, rb in row_order
+    ]
+
+
+def _pairing(amps):
+    """B's signed pairing with the parity of each index computed in place."""
+    total = 0
+    for b in range(16):
+        a = amps[b]
+        if a:
+            sign = -1 if bin(b).count("1") & 1 else 1
+            total = total + sign * a * amps[15 - b]
+    return total
+
+
+def test_flattening_tables_match_site_assembly():
+    """L, M, N and B from the fixed index tables equal, with the same repr
+    and type, the determinants of the site-assembled flattenings and the
+    pairing with per-index parity: on int, Fraction (through the cleared
+    amplitudes), Gaussian-rational and float states."""
+    ints, fracs, gauss = _gram_test_states()
+    floats = [State([float(a) * 0.37 for a in s.amps]) for s in ints + fracs]
+    seen_nonzero = [False] * 4
+    for s in ints + fracs + gauss + floats:
+        q, amps = cleared_amplitudes(s) or (1, s.amps)
+        want = [_over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
+        want.append(_over(_pairing(amps), 2 * q * q))
+        got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s)]
+        assert [(repr(v), type(v)) for v in got] == [(repr(v), type(v)) for v in want], s
+        seen_nonzero = [seen or bool(v) for seen, v in zip(seen_nonzero, want)]
+    assert all(seen_nonzero)
 
 
 def test_ghz_determinants(ghz):
