@@ -12,18 +12,24 @@ counts (170 covariants in degrees 1..12).
 every intermediate value as a plain ``{monomial key: coefficient}`` dict
 (the ``poly`` packing); a ``Polynomial`` is built only by the public
 ``eval``.  Amplitudes are substituted first, so all intermediates are
-small polynomials in the 8 base variables; rational amplitudes are first
-scaled to integers (see ``EvalSession``).  Because of the validated term
-shape, one kernel evaluates every term: the ground-form-specialized
-transvection ``EvalSession._transvect_ground``, pinned against the literal
-Omega process (``transvect.transvect``) by tests.  The kernel trusts the
-load-time checks and repeats none of them; the one check left at
-evaluation runs once per covariant, where its value is memoized
-(``EvalSession._value``): the value is multihomogeneous of the declared
-multidegree.  ``Catalog.session`` hands out a new session on every call and
-the catalog keeps none, so a caller that reads one state several times
-holds its session, and states evaluate independently in parallel.  The
-composite vectors V, V'' and W are tables of covariant groups (``V_SPEC``,
+small polynomials in the 8 base variables.  Rational amplitudes are first
+scaled to integers, and on every exact state the session memoizes
+lam_C * C, where the integer lam_C (1 for A, 2 or 6 for the rest) is
+derived at load together with integer term coefficients, so integer
+states are evaluated in ``int`` arithmetic only; float states keep the
+catalog's own coefficients and their summation order (see
+``EvalSession`` for both proofs).  Because of the validated term shape, one kernel evaluates every
+term: the ground-form-specialized transvection
+``EvalSession._transvect_ground``, which differentiates each prefix of its
+derivative chains once; it is pinned against the literal Omega process
+(``transvect.transvect``) by tests.  The kernel trusts the load-time
+checks and repeats none of them; the one check left at evaluation runs
+once per covariant, where its value is memoized (``EvalSession._value``):
+the value is multihomogeneous of the declared multidegree.
+``Catalog.session`` hands out a new session on every call and the catalog
+keeps none, so a caller that reads one state several times holds its
+session, and states evaluate independently in parallel.  The composite
+vectors V, V'' and W are tables of covariant groups (``V_SPEC``,
 ``VPP_SPEC``, ``W_SPEC``) decided by one rule, ``EvalSession.bits``, which
 builds no sum or product polynomial: the summands of a group have distinct
 multidegrees, and a product's bit is the conjunction of its factors' bits.
@@ -46,8 +52,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd, lcm
 
-from .poly import _W, Polynomial, _add_raw, _diff_raw, _mul_raw, _scale_raw
+from .poly import _W, Polynomial, _diff_raw, _mul_raw, _scale_raw
 from .qstate import State, cleared_amplitudes
 from .scalars import GaussianRational
 
@@ -101,15 +108,31 @@ class CovariantDef:
     cid: CovariantId
     adeg: int  # degree in the state coefficients
     terms: tuple  # ((Fraction coef, lhs CovariantId, rhs CovariantId, idx), ...)
+    # Set by ``Catalog._validate``: lam * C has integer coefficients on
+    # integer amplitudes, and int_coefs[t] = lam * coef_t / lam_rhs_t is the
+    # integer coefficient of term t in that scaled sum.
+    lam: int = 1
+    int_coefs: tuple = ()
 
     @property
     def is_ground(self):
         return not self.terms
 
 
-def _parse_line(line: str):
+def _parse_line(line: str, ids: dict | None = None):
+    """One catalog entry from one line; ``ids`` memoizes the parsed ids
+    across the lines of one file."""
+    if ids is None:
+        ids = {}
+
+    def parse(text):
+        cid = ids.get(text)
+        if cid is None:
+            cid = ids[text] = CovariantId.parse(text)
+        return cid
+
     fields = line.split()
-    cid = CovariantId.parse(fields[0])
+    cid = parse(fields[0])
     mdeg = tuple(int(ch) for ch in fields[1])
     if len(fields[1]) != 4:
         raise CatalogError(f"{cid}: bad multidegree field {fields[1]!r}")
@@ -126,9 +149,7 @@ def _parse_line(line: str):
         idx = tuple(int(ch) for ch in idx_s)
         if len(idx) != 4:
             raise CatalogError(f"{cid}: bad index {idx_s!r}")
-        terms.append(
-            (Fraction(coef_s), CovariantId.parse(lhs_s), CovariantId.parse(rhs_s), idx)
-        )
+        terms.append((Fraction(coef_s), parse(lhs_s), parse(rhs_s), idx))
     return CovariantDef(cid, 0, tuple(terms))
 
 
@@ -162,6 +183,7 @@ class Catalog:
                     raise CatalogError(f"unexpected ground entry {cid}")
                 continue
             adegs = set()
+            lam = 1
             for coef, lhs, rhs, idx in d.terms:
                 if lhs != GROUND_ID or max(idx) > 1:
                     raise CatalogError(
@@ -187,10 +209,18 @@ class Catalog:
                         f"({lhs},{rhs})^{idx}, declared {cid.multidegree}"
                     )
                 adegs.add(resolved[lhs] + resolved[rhs])
+                # lam is the lcm of the reduced denominators of coef / lam_rhs.
+                den = coef.denominator * self.defs[rhs].lam
+                lam = lcm(lam, den // gcd(coef.numerator, den))
             if len(adegs) != 1:
                 raise CatalogError(f"{cid}: terms disagree on coefficient degree")
             resolved[cid] = adegs.pop()
             object.__setattr__(d, "adeg", resolved[cid])
+            object.__setattr__(d, "lam", lam)
+            object.__setattr__(d, "int_coefs", tuple(
+                lam * coef.numerator // (coef.denominator * self.defs[rhs].lam)
+                for coef, _, rhs, _ in d.terms
+            ))
         census = {}
         for cid in self.order:
             census[self.defs[cid].adeg] = census.get(self.defs[cid].adeg, 0) + 1
@@ -253,12 +283,41 @@ def build_catalog() -> Catalog:
             f"catalog file hash {digest} does not match pinned {CATALOG_SHA256}"
         )
     defs = []
+    ids = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            defs.append(_parse_line(line))
+            defs.append(_parse_line(line, ids))
     _cached = Catalog(defs)
     return _cached
+
+
+def _accumulate(acc: dict, terms: dict, negate=False) -> dict:
+    """acc + terms (acc - terms if ``negate``), updating acc in place.
+
+    Keys are met in the order of ``terms`` and a key whose sum is zero is
+    dropped, so the result has the values and key order that
+    ``poly._add_raw`` gives, without copying acc.  An empty acc is not
+    added into: ``terms`` (negated if asked) is the result, so the caller
+    hands over a dict it no longer uses."""
+    if not acc:
+        return {k: -c for k, c in terms.items()} if negate else terms
+    get = acc.get
+    if negate:
+        for k, c in terms.items():
+            s = get(k, 0) - c
+            if s:
+                acc[k] = s
+            elif k in acc:
+                del acc[k]
+    else:
+        for k, c in terms.items():
+            s = get(k, 0) + c
+            if s:
+                acc[k] = s
+            elif k in acc:
+                del acc[k]
+    return acc
 
 
 class EvalSession:
@@ -270,15 +329,35 @@ class EvalSession:
     Cleared denominators: on a state whose amplitudes are all rational
     (``int`` or ``Fraction``), the session evaluates the catalog on the
     integer amplitudes q*A, q the lcm of their denominators
-    (``qstate.cleared_amplitudes``), so the kernel multiplies ints except
-    where the catalog's own coefficients 1/2 and 1/3 enter.  This is exact.
-    Every covariant C is homogeneous of degree ``adeg`` in the amplitudes:
-    a term (A, X)^idx is bilinear in A and X, and ``Catalog._validate``
-    checks at load that all terms of an entry have the same degree, so by
-    induction over the DAG C(qA) = q^adeg * C(A).  Nullity bits and
-    signatures read the values on qA directly, since a nonzero scale
-    changes no zero test; ``eval`` divides by q^adeg.  Float and Gaussian
-    states are evaluated as given (``scale`` 1).
+    (``qstate.cleared_amplitudes``).  This is exact.  Every covariant C is
+    homogeneous of degree ``adeg`` in the amplitudes: a term (A, X)^idx is
+    bilinear in A and X, and ``Catalog._validate`` checks at load that all
+    terms of an entry have the same degree, so by induction over the DAG
+    C(qA) = q^adeg * C(A).  Float and Gaussian states are evaluated as
+    given (``scale`` 1).
+
+    Integer-scaled values: on every exact state (int, cleared ``Fraction``
+    or Gaussian) the memoized value of C is lam_C * C, with lam_C and the
+    term coefficients k_t = lam_C * coef_t / lam_X from
+    ``Catalog._validate``, so the catalog's 1/2 and 1/3 never enter and an
+    integer state never builds a ``Fraction``.  Each k_t is an integer,
+    because lam_C is the lcm of the reduced denominators of the
+    coef_t / lam_X.  By induction over the DAG: lam_A * A = A, and if every
+    earlier value is lam_X * X, then sum_t k_t * (A, lam_X * X)^idx =
+    lam_C * sum_t coef_t * (A, X)^idx = lam_C * C, by bilinearity.  On
+    integer amplitudes each value has integer coefficients, by the same
+    induction: A does, the kernel only differentiates (multiplying by an
+    exponent), multiplies, adds and negates, and each k_t is an integer.
+    Nullity bits and signatures read these values directly, since a
+    nonzero scale changes no zero test; ``eval`` divides by
+    lam_C * q^adeg.
+
+    Float states are not scaled: they sum the catalog's own coefficients.
+    ``_bit`` compares magnitudes with the absolute ``FLOAT_TOLERANCE``, so
+    lam_C * C could cross it where C does not, and the factors 1/3 and 6
+    round differently from 1/3 alone.  Unscaled, and summed in the
+    order of the Omega expansion (see ``_transvect_ground``), every float
+    value is the catalog's own sum, so are the bits and ``min_margin``.
     """
 
     def __init__(self, catalog: Catalog, state: State):
@@ -322,32 +401,40 @@ class EvalSession:
         A is the session's ground form, the one on the cleared amplitudes.
         The caller guarantees what ``Catalog._validate`` proves for every
         catalog term: idx fits the degrees of A and rhs, and the result,
-        when nonzero, has the multidegree the degree law gives."""
-        sites = [k for k in range(4) if idx[k]]
+        when nonzero, has the multidegree the degree law gives.
+
+        Omega expansion: selector m has bit j_pos for the pos-th index
+        site k; A takes d/dx_{k,j} (slice selector 1 + j) and rhs the
+        opposite component d/dx_{k,1-j}, with sign (-1)^j.  The derivative
+        chains of rhs grow site by site, so each prefix is differentiated
+        once: at most 2^(s+1) - 2 diffs for s index sites, not s * 2^s.
+
+        Float sums are unchanged by the sharing.  A chain's coefficients
+        come from the same multiplications, in the same site order, as
+        differentiating rhs afresh for each selector.  Each selector's
+        product is formed on its own and then added, in increasing m, into
+        one accumulator (``_accumulate``), with the same values and key
+        order as adding the products one by one with ``_add_raw``.
+        Adding each monomial product straight into the accumulator would
+        regroup the float sums and move results."""
+        # (chain of rhs, selector of A, sign bit), in increasing m.
+        chains = [(rhs, (0, 0, 0, 0), 0)]
+        for k in range(4):
+            if not idx[k]:
+                continue
+            grown = []
+            for j in (0, 1):
+                index = 2 * k + 1 - j
+                for dR, sel, neg in chains:
+                    d = _diff_raw(dR, index)
+                    if d:
+                        grown.append((d, sel[:k] + (1 + j,) + sel[k + 1 :], neg ^ j))
+            chains = grown
         acc: dict = {}
-        for m in range(1 << len(sites)):
-            sel = [0, 0, 0, 0]
-            sign = 1
-            dR = rhs
-            for pos, k in enumerate(sites):
-                j = (m >> pos) & 1
-                # Omega expansion: A takes d/dx0 when j=0 (sign +), d/dx1
-                # when j=1 (sign -); rhs takes the opposite component.
-                sel[k] = 1 + j
-                if j:
-                    sign = -sign
-                dR = _diff_raw(dR, 2 * k + 1 - j)
-                if not dR:
-                    break
-            if not dR:
-                continue
-            dA = self._ground_slice(tuple(sel))
-            if not dA:
-                continue
-            term = _mul_raw(dA, dR)
-            if sign < 0:
-                term = {k2: -c for k2, c in term.items()}
-            acc = _add_raw(acc, term)
+        for dR, sel, neg in chains:
+            dA = self._ground_slice(sel)
+            if dA:
+                acc = _accumulate(acc, _mul_raw(dA, dR), neg)
         return acc
 
     def eval(self, cid) -> Polynomial:
@@ -355,13 +442,16 @@ class EvalSession:
         if isinstance(cid, str):
             cid = CovariantId.parse(cid)
         value = self._value(cid)
-        if self.scale == 1 or not value:
+        d = self.catalog.defs[cid]
+        div = self.scale ** d.adeg * (1 if self.float_mode else d.lam)
+        if div == 1 or not value:
             return Polynomial(value)
-        q_deg = self.scale ** self.catalog.defs[cid].adeg
-        return Polynomial(_scale_raw(value, Fraction(1, q_deg)))
+        return Polynomial(_scale_raw(value, Fraction(1, div)))
 
     def _value(self, cid) -> dict:
-        """The terms of covariant ``cid`` on the cleared amplitudes, memoized.
+        """The memoized terms of covariant ``cid`` on the cleared amplitudes:
+        lam_C times the covariant on exact states, the covariant itself on
+        float states (see the class docstring).
 
         The kernel repeats none of the load-time checks, so this is the one
         place a value is checked: once per covariant, a nonzero value must
@@ -373,13 +463,13 @@ class EvalSession:
         if d is None:
             raise CatalogError(f"unknown covariant id {cid}")
         value = {}
-        for coef, _, rhs, idx in d.terms:  # validated: every term is (A, rhs)^idx
+        coefs = [t[0] for t in d.terms] if self.float_mode else d.int_coefs
+        # validated: every term is (A, rhs)^idx
+        for coef, (_, _, rhs, idx) in zip(coefs, d.terms):
             tv = self._transvect_ground(self._value(rhs), idx)
-            if coef == -1:
-                tv = {k: -c for k, c in tv.items()}
-            elif coef != 1:
+            if coef != 1 and coef != -1:
                 tv = _scale_raw(tv, coef)
-            value = _add_raw(value, tv)
+            value = _accumulate(value, tv, coef == -1)
         if value:
             md = Polynomial(value).multidegree()
             if md != cid.multidegree:

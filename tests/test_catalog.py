@@ -31,7 +31,7 @@ from entatlas.qstate import (
     random_state,
     to_ground_form,
 )
-from entatlas.poly import Polynomial, x
+from entatlas.poly import Polynomial, _add_raw, _diff_raw, _mul_raw, _scale_raw, x
 from entatlas.scalars import GaussianRational
 from entatlas.transvect import transvect
 
@@ -247,7 +247,9 @@ def test_memoization(catalog):
         first = sess._value(cid)
         assert bool(first) == nonzero
         assert sess._value(cid) is first
-        assert sess.eval(name).terms is first
+        # The memo holds lam_C * C on an exact state; eval divides it out.
+        lam = catalog.defs[cid].lam
+        assert sess.eval(name).terms == {k: Fraction(c, lam) for k, c in first.items()}
 
 
 def test_evaluated_multihomogeneity(catalog):
@@ -350,3 +352,124 @@ def test_product_bits_match_literal_products(catalog):
     # Each product bit is exercised both ways, so the comparison cannot pass
     # vacuously.
     assert all(bits == {0, 1} for bits in seen.values()), seen
+
+
+LAM6 = ("C_3111", "C_1311", "C_1131", "C_1113", "D_4000", "D_0400", "D_0040", "D_0004")
+
+
+def test_integer_scale_table(catalog):
+    """lam_A = 1, lam_C = 6 on exactly the C_3111 and D_4000 families and
+    2 elsewhere, and every scaled term coefficient lam_C * coef / lam_X is
+    an int."""
+    lams = {str(cid): catalog.defs[cid].lam for cid in catalog.order}
+    assert lams.pop("A") == 1
+    assert {name for name, lam in lams.items() if lam == 6} == set(LAM6)
+    assert set(lams.values()) == {2, 6}
+    for cid in catalog.order:
+        d = catalog.defs[cid]
+        assert len(d.int_coefs) == len(d.terms)
+        for k, (coef, _, rhs, _) in zip(d.int_coefs, d.terms):
+            assert type(k) is int
+            assert k == d.lam * coef / catalog.defs[rhs].lam
+
+
+class _OracleSession(EvalSession):
+    """The kernel before integer scaling and shared derivative chains:
+    every selector differentiates rhs afresh and is added with a copying
+    ``_add_raw``, and every state sums the catalog's own ``Fraction``
+    coefficients."""
+
+    def _transvect_ground(self, rhs, idx):
+        sites = [k for k in range(4) if idx[k]]
+        acc = {}
+        for m in range(1 << len(sites)):
+            sel = [0, 0, 0, 0]
+            sign = 1
+            dR = rhs
+            for pos, k in enumerate(sites):
+                j = (m >> pos) & 1
+                sel[k] = 1 + j
+                if j:
+                    sign = -sign
+                dR = _diff_raw(dR, 2 * k + 1 - j)
+                if not dR:
+                    break
+            if not dR:
+                continue
+            dA = self._ground_slice(tuple(sel))
+            if not dA:
+                continue
+            term = _mul_raw(dA, dR)
+            if sign < 0:
+                term = {k2: -c for k2, c in term.items()}
+            acc = _add_raw(acc, term)
+        return acc
+
+    def _value(self, cid):
+        value = self._values.get(cid)
+        if value is None:
+            value = {}
+            for coef, _, rhs, idx in self.catalog.defs[cid].terms:
+                tv = self._transvect_ground(self._value(rhs), idx)
+                if coef == -1:
+                    tv = {k: -c for k, c in tv.items()}
+                elif coef != 1:
+                    tv = _scale_raw(tv, coef)
+                value = _add_raw(value, tv)
+            self._values[cid] = value
+        return value
+
+    def eval(self, cid):
+        value = self._value(cid)
+        if self.scale == 1 or not value:
+            return Polynomial(value)
+        return Polynomial(_scale_raw(value, Fraction(1, self.scale ** self.catalog.defs[cid].adeg)))
+
+
+def _read_all(sess):
+    """Every bit the classifier reads, which also sets ``min_margin``."""
+    return (sess.signature(EXTENDED_T_IDS), sess.vector_V(), sess.vector_Vpp(), sess.vector_W())
+
+
+def test_float_values_match_unscaled_oracle(catalog):
+    """On float states the session keeps the catalog's coefficients and the
+    Omega sum's order: every value equals the oracle's key for key, in the
+    same key order, and so do the bits and ``min_margin``.  States: an
+    SL2^4 image of each of the 48 nonzero normal forms, in floats, at
+    scales 1e-3, 1 and 1e3."""
+    margins = set()
+    for label, rec in sorted(orbit_records().items()):
+        if not label:
+            continue
+        image = apply_local(random_sl2_tuple(label * 100), rec.normal_form)
+        for scale in (1e-3, 1.0, 1e3):
+            s = State([float(a) * scale for a in image.amps])
+            sess, oracle = catalog.session(s), _OracleSession(catalog, s)
+            assert _read_all(sess) == _read_all(oracle), (label, scale)
+            assert sess.min_margin == oracle.min_margin, (label, scale)
+            margins.add(sess.min_margin)
+            for cid in catalog.order:
+                got, want = sess._value(cid), oracle._value(cid)
+                assert list(got.items()) == list(want.items()), (label, scale, cid)
+    assert len(margins) > 100
+
+
+def test_exact_values_match_unscaled_oracle(catalog):
+    """All 170 ``eval`` values equal the oracle's on int, ``Fraction`` and
+    Gaussian states, and the integer states' memoized values are ints."""
+    i = GaussianRational(0, Fraction(1, 2))
+    records = orbit_records()
+    for label in (59520, 6014, 65257, 64704, 65534, 59777, 59510):
+        nf = records[label].normal_form
+        states = [nf, random_state(label), apply_local(random_sl2_tuple(label * 100), nf)]
+        for s in states:
+            sess, oracle = catalog.session(s), _OracleSession(catalog, s)
+            for cid in catalog.order:
+                assert sess.eval(cid) == oracle.eval(cid), (label, s, cid)
+                assert all(type(c) is int for c in sess._value(cid).values())
+        if label in (6014, 65257):
+            # Gaussian states are slow (Fraction parts), so only two.
+            gauss = State([i * a + Fraction(b % 3, 2) for b, a in enumerate(nf.amps)])
+            sess, oracle = catalog.session(gauss), _OracleSession(catalog, gauss)
+            for cid in catalog.order:
+                assert sess.eval(cid) == oracle.eval(cid), (label, gauss, cid)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from entatlas.atlas import _flip_key
 from entatlas.catalog import EvalSession
 from entatlas.classify import (
     GOLDEN,
@@ -317,3 +318,27 @@ def test_result_to_dict(w_state):
     assert doc["permutation_type"] == permutation_type(59520)
     assert doc["invariants"] == {"B": "0"}
     assert doc["signatures"]["T"][0] == 1
+
+
+@pytest.mark.slow
+def test_classifiers_match_census_on_every_orbit(secant_table):
+    """Both decision procedures against the census, on one member of each
+    of the 2223 nonzero secant3 bit-flip orbits (a flip is in GL2^4, so one
+    member stands for its orbit, see ``atlas.signatures_for``).
+    ``classify_secant3`` gives the census class everywhere.  The extended
+    procedure differs on exactly 39 orbits, all in census class 65257,
+    which it labels 6014: Z separates them, and Z is not a covariant
+    nullity, so the census cannot."""
+    forms, table = secant_table
+    census = {n: rep for sig, rep in table.representatives.items() for n in table.classes[sig]}
+    orbits = sorted({_flip_key(n) for n in forms} - {0})
+    assert len(orbits) == 2223
+    moved = {}
+    for n in orbits:
+        s = decode_form(n)
+        assert classify_secant3(s).label == census[n], n
+        label = classify_secant3_extended(s).label
+        if label != census[n]:
+            moved[n] = (census[n], label)
+    assert len(moved) == 39
+    assert set(moved.values()) == {(65257, 6014)}
