@@ -49,14 +49,14 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from math import gcd, lcm
 
 from .poly import _W, Polynomial, _diff_raw, _mul_raw, _scale_raw
 from .qstate import State, cleared_amplitudes
-from .scalars import GaussianRational
+from .scalars import GaussianRational, exact_quotient, normalize_scalar
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
@@ -66,7 +66,7 @@ _ID_RE = re.compile(r"^([A-L])([123]?)_(\d)(\d)(\d)(\d)$")
 
 # Float mode: a value is nonzero when its largest coefficient magnitude
 # exceeds this absolute bound (the invariants scale it, see
-# ``classify._nonzero``; the covariant bits do not).
+# ``invariants.invariant_nonzero``; the covariant bits do not).
 FLOAT_TOLERANCE = 1e-9
 
 
@@ -108,9 +108,9 @@ class CovariantDef:
     cid: CovariantId
     adeg: int  # degree in the state coefficients
     terms: tuple  # ((Fraction coef, lhs CovariantId, rhs CovariantId, idx), ...)
-    # Set by ``Catalog._validate``: lam * C has integer coefficients on
-    # integer amplitudes, and int_coefs[t] = lam * coef_t / lam_rhs_t is the
-    # integer coefficient of term t in that scaled sum.
+    # Set in the catalog's own copy by ``Catalog._validate``: lam * C has
+    # integer coefficients on integer amplitudes, and int_coefs[t] =
+    # lam * coef_t / lam_rhs_t is the coefficient of term t in that sum.
     lam: int = 1
     int_coefs: tuple = ()
 
@@ -215,9 +215,7 @@ class Catalog:
             if len(adegs) != 1:
                 raise CatalogError(f"{cid}: terms disagree on coefficient degree")
             resolved[cid] = adegs.pop()
-            object.__setattr__(d, "adeg", resolved[cid])
-            object.__setattr__(d, "lam", lam)
-            object.__setattr__(d, "int_coefs", tuple(
+            self.defs[cid] = replace(d, adeg=resolved[cid], lam=lam, int_coefs=tuple(
                 lam * coef.numerator // (coef.denominator * self.defs[rhs].lam)
                 for coef, _, rhs, _ in d.terms
             ))
@@ -446,7 +444,7 @@ class EvalSession:
         div = self.scale ** d.adeg * (1 if self.float_mode else d.lam)
         if div == 1 or not value:
             return Polynomial(value)
-        return Polynomial(_scale_raw(value, Fraction(1, div)))
+        return Polynomial({k: normalize_scalar(exact_quotient(c, div)) for k, c in value.items()})
 
     def _value(self, cid) -> dict:
         """The memoized terms of covariant ``cid`` on the cleared amplitudes:

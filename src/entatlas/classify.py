@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .catalog import FLOAT_TOLERANCE, T_IDS, VPRIME_IDS, EvalSession, build_catalog
-from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z
-from .qstate import State, StateError, decode_form
+from .catalog import T_IDS, VPRIME_IDS, EvalSession, build_catalog
+from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z, invariant_nonzero, is_nilpotent
+from .qstate import State, StateError, check_nonzero, decode_form
 from .scalars import GaussianRational, exact_quotient
 
 
@@ -166,21 +166,6 @@ class ClassificationResult:
         return out
 
 
-def _reject_zero(s: State):
-    if s.is_zero():
-        raise StateError("the zero state is rejected by classifiers")
-
-
-def _nonzero(value, s: State, degree: int) -> bool:
-    """Exact truthiness, except float scalars compare against
-    ``FLOAT_TOLERANCE`` scaled by the amplitude magnitude raised to the
-    invariant's degree."""
-    if isinstance(value, float):
-        scale = max((abs(float(a)) for a in s.amps), default=1.0)
-        return abs(value) > FLOAT_TOLERANCE * max(1.0, scale ** degree)
-    return bool(value)
-
-
 def _miss(sess: EvalSession, message: str) -> Exception:
     """The error for a signature that matches no golden row: an integrity
     error in exact mode, a low-confidence failure in float mode."""
@@ -205,13 +190,7 @@ def _result(label, signatures, sess: EvalSession, stratum=None):
 
 def classify_nullcone(s: State) -> ClassificationResult:
     """Match the T signature of a nilpotent state against the golden blocks."""
-    _reject_zero(s)
-    if (
-        _nonzero(inv_B(s), s, 2)
-        or _nonzero(inv_L(s), s, 4)
-        or _nonzero(inv_M(s), s, 4)
-        or _nonzero(inv_D(s, "xy"), s, 6)
-    ):
+    if not is_nilpotent(s):
         raise ClassifyFail("state is not nilpotent")
     return _nullcone_lookup(build_catalog().session(s))
 
@@ -230,12 +209,12 @@ def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
 
 
 def _secant_branch(s, extended):
-    _reject_zero(s)
-    if _nonzero(inv_L(s), s, 4) or _nonzero(inv_M(s), s, 4):
+    check_nonzero(s)
+    if invariant_nonzero(inv_L(s), s, 4) or invariant_nonzero(inv_M(s), s, 4):
         raise ClassifyFail("L or M does not vanish (outside the third secant)")
     sess = build_catalog().session(s)
-    B = _nonzero(inv_B(s), s, 2)
-    Dxy = _nonzero(inv_D(s, "xy"), s, 6)
+    B = invariant_nonzero(inv_B(s), s, 2)
+    Dxy = invariant_nonzero(inv_D(s, "xy"), s, 6)
     if not B:
         if not Dxy:
             # L, M, B and D_xy all vanish: the state is nilpotent.
@@ -253,7 +232,7 @@ def _secant_branch(s, extended):
         return _result(label, {"Vpp": vpp, "W": w}, sess, stratum=stratum)
     vp = sess.signature(VPRIME_IDS)
     if extended:
-        if _nonzero(inv_Z(s), s, 6):
+        if invariant_nonzero(inv_Z(s), s, 6):
             return _result(65257, {"Vp": vp, "Z": (1,)}, sess)
         if not any(vp):
             return _result(59510, {"Vp": vp, "Z": (0,)}, sess)
@@ -337,7 +316,7 @@ def _gl_generator_image(s: State, site: int, a: int, b: int):
 def orbit_dimension(s: State) -> int:
     """Projective dimension of the local-group orbit through [s]:
     rank of the 16 elementary one-site generator images, minus 1."""
-    _reject_zero(s)
+    check_nonzero(s)
     rows = [
         _gl_generator_image(s, site, a, b)
         for site in range(4)
@@ -350,8 +329,7 @@ def orbit_dimension(s: State) -> int:
 def factor_separable(s: State):
     """Recover the four tensor factors of a rank-one state; raises on
     non-separable input."""
-    _reject_zero(s)
-    rest = list(s.amps)
+    rest = list(check_nonzero(s).amps)
     nsites = 4
     factors = []
     for site in range(nsites):

@@ -2,7 +2,8 @@
 
 Commands: classify, invariants, eval, atlas, verify, graph.  All output
 is JSON (or DOT for graphs) and deterministic in exact mode.  Exit codes:
-0 success, 1 usage or input error, 2 FAIL (the state is outside the
+0 success, 1 usage or input error (in float mode, also amplitudes too
+large for a float), 2 FAIL (the state is outside the
 algorithm's domain, or a float-mode signature matches no golden row),
 3 internal integrity failure (an exact golden table mismatch, which
 indicates a broken catalog rather than bad input).
@@ -26,7 +27,7 @@ from .atlas import (
 from .catalog import CatalogError, CovariantId, build_catalog
 from .classify import ClassifyFail, IntegrityError, classify
 from .invariants import all_invariants, hyperdet_delta, inv_B, inv_D, inv_L, inv_M, inv_Z
-from .qstate import State, StateError, decode_form
+from .qstate import State, StateError, check_nonzero, decode_form
 from .scalars import GaussianRational, format_rational
 
 EXIT_OK, EXIT_INPUT, EXIT_FAIL, EXIT_INTEGRITY = 0, 1, 2, 3
@@ -39,11 +40,9 @@ def _read_state(args) -> State:
         s = State.from_json(Path(args.infile).read_text())
     else:
         s = State.from_json(sys.stdin.read())
-    if s.is_zero():
-        raise StateError("the zero state is rejected")
     if getattr(args, "mode", "exact") == "float":
         s = State(tuple(_to_float(a) for a in s.amps))
-    return s
+    return check_nonzero(s)
 
 
 def _to_float(a):
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (StateError, OSError, ValueError) as e:
+    except (StateError, OSError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ClassifyFail as e:

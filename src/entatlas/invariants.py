@@ -50,9 +50,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .catalog import build_catalog
+from .catalog import FLOAT_TOLERANCE, CovariantId, build_catalog
 from .poly import Polynomial, t as t_var, x as x_var
-from .qstate import State, StateError, cleared_amplitudes
+from .qstate import State, check_nonzero, cleared_amplitudes
 from .scalars import exact_quotient, normalize_scalar
 
 SITE_OF = {"x": 1, "y": 2, "z": 3, "t": 4}
@@ -229,14 +229,16 @@ def hyperdet_delta(s: State):
     return quartic_delta(quartic_coeffs(s))
 
 
+_SEXTIC_ID = CovariantId.parse("L_6000")
+_SEXTIC_MONOMIALS = tuple({x_var(1, 0): 6 - i, x_var(1, 1): i} for i in range(7))
+
+
 def sextic_coeffs(s: State):
     """Binomial coefficients (d0..d6) of the evaluated sextic L_6000."""
-    p = build_catalog().eval_covariant("L_6000", s)
-    ds = []
-    for i in range(7):
-        raw = p.coefficient({x_var(1, 0): 6 - i, x_var(1, 1): i})
-        ds.append(_over(raw, comb(6, i)))
-    return tuple(ds)
+    p = build_catalog().eval_covariant(_SEXTIC_ID, s)
+    return tuple([
+        _over(p.coefficient(mono), comb(6, i)) for i, mono in enumerate(_SEXTIC_MONOMIALS)
+    ])
 
 
 def inv_I2(s: State):
@@ -329,15 +331,28 @@ def verstraete_quartic_coeffs(s: State):
     return tuple([_over(raw, comb(4, i)) for i, raw in enumerate(_verstraete_raw(s))])
 
 
+def invariant_nonzero(value, s: State, degree: int) -> bool:
+    """The one invariant-nullity rule: ``value``, an invariant of s of the
+    given degree, is tested exactly, except that a float is nonzero when it
+    exceeds ``FLOAT_TOLERANCE`` scaled by max(1, max |a|^degree)."""
+    if isinstance(value, float):
+        scale = max((abs(float(a)) for a in s.amps), default=1.0)
+        return abs(value) > FLOAT_TOLERANCE * max(1.0, scale ** degree)
+    return bool(value)
+
+
 def is_nilpotent(s: State) -> bool:
-    """All four invariant generators vanish (nullcone membership)."""
-    if s.is_zero():
-        raise StateError("the zero state is rejected by classifiers")
-    return not (inv_B(s) or inv_L(s) or inv_M(s) or inv_D(s, "xy"))
+    """B, L, M and D_xy all vanish (nullcone membership)."""
+    check_nonzero(s)
+    return not (
+        invariant_nonzero(inv_B(s), s, 2)
+        or invariant_nonzero(inv_L(s), s, 4)
+        or invariant_nonzero(inv_M(s), s, 4)
+        or invariant_nonzero(inv_D(s, "xy"), s, 6)
+    )
 
 
 def in_third_secant(s: State) -> bool:
     """L = M = 0 (third secant variety membership)."""
-    if s.is_zero():
-        raise StateError("the zero state is rejected by classifiers")
-    return not (inv_L(s) or inv_M(s))
+    check_nonzero(s)
+    return not (invariant_nonzero(inv_L(s), s, 4) or invariant_nonzero(inv_M(s), s, 4))

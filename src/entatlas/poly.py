@@ -15,8 +15,9 @@ A monomial is stored as a single Python integer holding one 4-bit exponent
 field per variable (index v occupies bits 4v..4v+3).  Multiplying two
 monomials is then integer addition, so an exponent of 16 would carry
 into the next variable's field (``x1_0**16`` would read as ``x1_1``).
-``Polynomial.__mul__`` (and so ``**``) raises ``PolynomialError`` instead;
-the raw kernels below are unchecked (see ``_mul_raw``).
+``Polynomial.__mul__`` (and so ``**``) raises ``PolynomialError`` instead,
+and ``monomial`` and ``coefficient`` reject an exponent outside 0..15 with
+``ValueError``; the raw kernels below are unchecked (see ``_mul_raw``).
 A polynomial is a dict mapping monomial keys to nonzero coefficients; the
 zero polynomial is the empty dict.  Coefficients are ints when possible,
 otherwise Fraction or GaussianRational (or float in approximate mode).
@@ -147,6 +148,17 @@ def _mul_raw(a: dict, b: dict) -> dict:
     return out
 
 
+def _monomial_key(exponents: dict) -> int:
+    """The packed key of {VariableId: exponent}; an exponent outside 0..15
+    would not fit its field, so it raises instead of naming another key."""
+    key = 0
+    for v, e in exponents.items():
+        if not 0 <= e <= _FIELD:
+            raise ValueError(f"exponent {e} is outside 0..{_FIELD}")
+        key += e << (_W * v.index)
+    return key
+
+
 def _exponents(key: int) -> list:
     """The N_VARS exponents packed in a monomial key, in variable order."""
     return [(key >> (_W * v)) & _FIELD for v in range(N_VARS)]
@@ -199,14 +211,7 @@ class Polynomial:
         coeff = normalize_scalar(coeff)
         if not coeff:
             return cls({})
-        key = 0
-        for v, e in exponents.items():
-            if e < 0:
-                raise ValueError("negative exponent")
-            if e > _FIELD:
-                raise ValueError(f"exponent {e} exceeds field width")
-            key += e << (_W * v.index)
-        return cls({key: coeff})
+        return cls({_monomial_key(exponents): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -295,10 +300,7 @@ class Polynomial:
 
     def coefficient(self, exponents: dict):
         """Coefficient of the monomial given as {VariableId: exponent}."""
-        key = 0
-        for v, e in exponents.items():
-            key += e << (_W * v.index)
-        return self.terms.get(key, 0)
+        return self.terms.get(_monomial_key(exponents), 0)
 
     def sorted_terms(self):
         """Terms in graded-lexicographic order over the fixed variable order

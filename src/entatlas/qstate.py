@@ -151,6 +151,13 @@ def cleared_amplitudes(s: State):
     ])
 
 
+def check_nonzero(s: State) -> State:
+    """s itself, unless it is the zero state, which has no orbit to name."""
+    if s.is_zero():
+        raise StateError("the zero state is rejected")
+    return s
+
+
 def check_form(n) -> int:
     """n itself, if it names a {0,1} form: an int (not a bool) in 0..65535."""
     if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= 65535:

@@ -121,6 +121,29 @@ def test_catalog_rejects_terms_not_on_the_ground_form(catalog):
         Catalog(doubled)
 
 
+def test_catalog_leaves_its_definitions_untouched(catalog):
+    """``Catalog(defs)`` keeps validated copies and changes none of the
+    entries it is given.  Built from the cached catalog's own entries with
+    B_2200's coefficient 1/2 changed to 1/3, it derives other lam and
+    integer coefficients for B_2200 and the entries above it; the cached
+    catalog keeps its fields and its values on form 65257."""
+    s = decode_form(65257)
+    target = CovariantId.parse("B_2200")
+    fields = {cid: (d.adeg, d.lam, d.int_coefs) for cid, d in catalog.defs.items()}
+    values = {cid: catalog.eval_covariant(cid, s) for cid in catalog.order}
+    defs = [catalog.defs[cid] for cid in catalog.order]
+    (coef, lhs, rhs, idx), = catalog.defs[target].terms
+    assert coef == Fraction(1, 2)
+    defs[catalog.order.index(target)] = dataclasses.replace(
+        catalog.defs[target], terms=((Fraction(1, 3), lhs, rhs, idx),)
+    )
+    altered = Catalog(defs)
+    assert altered.defs[target].lam == 3
+    assert altered.eval_covariant(target, s) == values[target] * Fraction(2, 3)
+    assert {cid: (d.adeg, d.lam, d.int_coefs) for cid, d in catalog.defs.items()} == fields
+    assert {cid: catalog.eval_covariant(cid, s) for cid in catalog.order} == values
+
+
 def test_parse_rejects_forward_reference():
     with pytest.raises(CatalogError):
         from entatlas.catalog import Catalog

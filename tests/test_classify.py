@@ -21,6 +21,7 @@ from entatlas.classify import (
     stratum,
     terracini_rank,
 )
+from entatlas.invariants import in_third_secant, is_nilpotent
 from entatlas.qstate import (
     QubitPermutation,
     State,
@@ -284,6 +285,36 @@ def test_float_lookup_miss_fails_closed():
         assert classify_secant3_extended(img).label == label
         with pytest.raises(ClassifyFail, match="confidence low"):
             classify_secant3_extended(State([float(a) for a in img.amps]))
+
+
+def _admits(classifier, s) -> bool:
+    """Whether the classifier's membership test admits s: it gives a result,
+    or fails only later, at a float-mode golden-table miss."""
+    try:
+        classifier(s)
+    except ClassifyFail as e:
+        return "confidence low" in str(e)
+    return True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_predicates_agree_with_classifiers_in_float_mode(scale):
+    """``is_nilpotent`` and ``in_third_secant`` decide membership by the same
+    invariant-nullity rule as ``classify_nullcone`` and
+    ``classify_secant3_extended``, on a float SL2^4 image of each of the 48
+    nonzero normal forms.  All of them lie in the third secant, and some in
+    the nullcone."""
+    answers = set()
+    for label, rec in sorted(orbit_records().items()):
+        if not label:
+            continue
+        image = apply_local(random_sl2_tuple(label * 100), rec.normal_form)
+        s = State([float(a) * scale for a in image.amps])
+        nilpotent, secant = is_nilpotent(s), in_third_secant(s)
+        assert nilpotent == _admits(classify_nullcone, s), label
+        assert secant == _admits(classify_secant3_extended, s), label
+        answers |= {("nilpotent", nilpotent), ("secant", secant)}
+    assert answers == {("nilpotent", False), ("nilpotent", True), ("secant", True)}
 
 
 def test_threads_classify_like_serial():

@@ -38,6 +38,33 @@ def test_classify_zero_state_input_error(capsys):
     assert "zero state" in err
 
 
+def test_float_mode_rejects_a_state_that_underflows_to_zero(tmp_path, capsys):
+    """The zero-state check runs after the float conversion: amplitudes
+    that all round to 0.0 are an input error, as the zero state is."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[1, 10 ** 400]] + [[0, 1]] * 15}))
+    code, out, err = run(capsys, "invariants", "--mode", "float", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "zero state" in err
+    code, out, _ = run(capsys, "invariants", "--in", str(path))
+    assert code == 0 and json.loads(out)["B"] == "0"
+
+
+@pytest.mark.parametrize(
+    "command, amplitude",
+    [("classify", 10 ** 400), ("invariants", 10 ** 400), ("classify", 10 ** 60)],
+)
+def test_float_mode_overflow_is_an_input_error(tmp_path, capsys, command, amplitude):
+    """An amplitude past the float range, or one whose sixth power is (the
+    scale of the D_xy and Z nullity tests), is an input error."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[amplitude, 1], [1, 1]] + [[0, 1]] * 14}))
+    code, out, err = run(capsys, command, "--mode", "float", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_classify_extended(capsys):
     code, out, _ = run(capsys, "classify", "--form", "6014", "--extended")
     assert code == 0

@@ -84,6 +84,14 @@ def test_exponent_bound_enforced():
         X10 ** 16
     assert (X10 ** 15 * X11 ** 15).multidegree() == (30, 0, 0, 0)
     assert (X10 ** 15 * Polynomial.zero()).is_zero()
+    # Monomial keys share the bound: unchecked, x1_0^16 would name x1_1.
+    for e in (-1, 16):
+        with pytest.raises(ValueError):
+            X11.coefficient({x(1, 0): e})
+        with pytest.raises(ValueError):
+            Polynomial.monomial(1, {x(1, 0): e})
+    assert X11.coefficient({x(1, 1): 1}) == 1
+    assert X11.coefficient({x(1, 0): 15}) == 0
 
 
 def test_is_zero():
