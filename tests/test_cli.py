@@ -53,6 +53,7 @@ def test_float_mode_rejects_a_state_that_underflows_to_zero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, amplitude",
     [("classify", 10 ** 400), ("invariants", 10 ** 400), ("classify", 10 ** 60)],
+    ids=["classify-1e400", "invariants-1e400", "classify-1e60"],
 )
 def test_float_mode_overflow_is_an_input_error(tmp_path, capsys, command, amplitude):
     """An amplitude past the float range, or one whose sixth power is (the
