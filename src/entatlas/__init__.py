@@ -41,8 +41,6 @@ from .qstate import (
     permute_qubits,
     random_sl2_tuple,
     random_state,
-    to_ground_form,
 )
-from .transvect import omega_power, transvect
 
 __version__ = "0.1.0"

@@ -103,18 +103,6 @@ class ClassTable:
     def representative_set(self) -> set:
         return set(self.representatives.values())
 
-    def members_of(self, rep: int) -> list:
-        for sig, r in self.representatives.items():
-            if r == rep:
-                return self.classes[sig]
-        raise KeyError(rep)
-
-    def signature_of(self, rep: int) -> tuple:
-        for sig, r in self.representatives.items():
-            if r == rep:
-                return sig
-        raise KeyError(rep)
-
     def class_of_form(self, n: int):
         for sig, members in self.classes.items():
             if n in members:

@@ -18,11 +18,12 @@ lam_C * C, where the integer lam_C (1 for A, 2 or 6 for the rest) is
 derived at load together with integer term coefficients, so integer
 states are evaluated in ``int`` arithmetic only; float states keep the
 catalog's own coefficients and their summation order (see
-``EvalSession`` for both proofs).  Because of the validated term shape, one kernel evaluates every
-term: the ground-form-specialized transvection
-``EvalSession._transvect_ground``, which differentiates each prefix of its
-derivative chains once; it is pinned against the literal Omega process
-(``transvect.transvect``) by tests.  The kernel trusts the load-time
+``EvalSession`` for both proofs).  Because of the validated term shape,
+one kernel evaluates every term, and it is the package's only
+transvection: the ground-form-specialized ``EvalSession._transvect_ground``,
+which differentiates each prefix of its derivative chains once.  The
+tests pin it against the literal Omega process, which they keep as an
+oracle (``tests/omega_oracle.py``).  The kernel trusts the load-time
 checks and repeats none of them; the one check left at evaluation runs
 once per covariant, where its value is memoized (``EvalSession._value``):
 the value is multihomogeneous of the declared multidegree.
@@ -294,10 +295,10 @@ def _accumulate(acc: dict, terms: dict, negate=False) -> dict:
     """acc + terms (acc - terms if ``negate``), updating acc in place.
 
     Keys are met in the order of ``terms`` and a key whose sum is zero is
-    dropped, so the result has the values and key order that
-    ``poly._add_raw`` gives, without copying acc.  An empty acc is not
-    added into: ``terms`` (negated if asked) is the result, so the caller
-    hands over a dict it no longer uses."""
+    dropped, so the result has the values and key order of a sum into a
+    copy of acc, without the copy.  An empty acc is not added into:
+    ``terms`` (negated if asked) is the result, so the caller hands over a
+    dict it no longer uses."""
     if not acc:
         return {k: -c for k, c in terms.items()} if negate else terms
     get = acc.get
@@ -361,7 +362,7 @@ class EvalSession:
     def __init__(self, catalog: Catalog, state: State):
         self.catalog = catalog
         self.float_mode = any(isinstance(a, float) for a in state.amps)
-        q, amps = cleared_amplitudes(state) or (1, state.amps)
+        q, amps = cleared_amplitudes(state)
         self.scale = q
         self._amps = amps
         self._slices = {}
@@ -412,7 +413,7 @@ class EvalSession:
         differentiating rhs afresh for each selector.  Each selector's
         product is formed on its own and then added, in increasing m, into
         one accumulator (``_accumulate``), with the same values and key
-        order as adding the products one by one with ``_add_raw``.
+        order as adding the products one by one into copies.
         Adding each monomial product straight into the accumulator would
         regroup the float sums and move results."""
         # (chain of rhs, selector of A, sign bit), in increasing m.

@@ -51,7 +51,7 @@ from itertools import product
 from math import comb
 
 from .catalog import FLOAT_TOLERANCE, CovariantId, build_catalog
-from .poly import Polynomial, t as t_var, x as x_var
+from .poly import Polynomial, _monomial_key, t as t_var, x as x_var
 from .qstate import State, check_nonzero, cleared_amplitudes
 from .scalars import exact_quotient, normalize_scalar
 
@@ -101,11 +101,6 @@ _FLAT = {name: _flat_table(*split) for name, split in _DET_SPLITS.items()}
 _B_SIGNS = tuple((b, -1 if bin(b).count("1") & 1 else 1) for b in range(16))
 
 
-def _cleared(s: State):
-    """(q, amplitudes to compute on): q*a for a rational state, else (1, a)."""
-    return cleared_amplitudes(s) or (1, s.amps)
-
-
 def _over(v, d):
     """v / d as the simplest exact scalar (v is an int on cleared states)."""
     if d == 1:
@@ -153,7 +148,7 @@ def _det4(m):
 
 
 def _quartic_det(s: State, name: str):
-    q, amps = _cleared(s)
+    q, amps = cleared_amplitudes(s)
     return _over(_det4([[amps[i] for i in row] for row in _FLAT[name]]), q ** 4)
 
 
@@ -171,7 +166,7 @@ def inv_N(s: State):
 
 def inv_B(s: State):
     """The quadratic invariant as the signed pairing sum_I (-1)^|I| a_I a_Ibar / 2."""
-    q, amps = _cleared(s)
+    q, amps = cleared_amplitudes(s)
     total = 0
     for b, sign in _B_SIGNS:
         a = amps[b]
@@ -180,28 +175,22 @@ def inv_B(s: State):
     return _over(total, 2 * q * q)
 
 
-def inv_B_transvectant(s: State):
-    """B via (1/2)(A,A)^{1111}; equals inv_B (pinned by tests)."""
-    p = build_catalog().eval_covariant("B_0000", s)
-    return p.terms.get(0, 0)
-
-
 def pair_gram_matrix(s: State, pair: str):
     """The 3x3 matrix of b_uv in the bases [u0^2, u0 u1, u1^2] x [v0^2, v0 v1, v1^2]."""
-    q, amps = _cleared(s)
+    q, amps = cleared_amplitudes(s)
     return [[_over(c, q * q) for c in row] for row in _gram(amps, pair)]
 
 
 def inv_D(s: State, pair: str = "xy"):
     """The degree-6 invariant D_uv = det of the 3x3 Gram matrix of b_uv."""
-    q, amps = _cleared(s)
+    q, amps = cleared_amplitudes(s)
     return _over(_det3(_gram(amps, pair)), q ** 6)
 
 
 def quartic_coeffs(s: State):
     """Binomial coefficients (c0..c4) of R(t) = det Hess_x(b_xt), so that
     R = sum comb(4,i) c_i t0^(4-i) t1^i in the site-4 variables."""
-    q, amps = _cleared(s)
+    q, amps = cleared_amplitudes(s)
     m0, m1, m2 = _gram(amps, "xt")
     r = [0] * 5
     for i in range(3):
@@ -308,6 +297,10 @@ def _verstraete_raw(s: State):
     return tuple([0 - c if i % 2 else c for i, c in enumerate(scales)])
 
 
+# The monomial keys of t0^4, t0^3 t1, ..., t1^4.
+_QUARTIC_KEYS = tuple(_monomial_key({t_var(0): 4 - i, t_var(1): i}) for i in range(5))
+
+
 def verstraete_quartic(s: State) -> Polynomial:
     """The degree-4 binary form in (t0, t1) assembled from B, L, M, D_xy:
 
@@ -319,11 +312,8 @@ def verstraete_quartic(s: State) -> Polynomial:
     roots are the squared parameters.  The cubic coefficient carries +D_xy;
     the printed source has -D_xy there, which breaks both properties.
     """
-    t0, t1 = t_var(0), t_var(1)
-    q = Polynomial.zero()
-    for i, raw in enumerate(_verstraete_raw(s)):
-        q = q + Polynomial.monomial(raw, {t0: 4 - i, t1: i})
-    return q
+    coeffs = [normalize_scalar(raw) for raw in _verstraete_raw(s)]
+    return Polynomial({key: c for key, c in zip(_QUARTIC_KEYS, coeffs) if c})
 
 
 def verstraete_quartic_coeffs(s: State):

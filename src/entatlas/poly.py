@@ -1,26 +1,24 @@
-"""Exact sparse multivariate polynomial arithmetic.
+"""Exact sparse multivariate polynomials: the output map of evaluation.
 
 The variables are the four pairs of binary variables x^(k) = (x^(k)_0,
-x^(k)_1) attached to the four tensor sites, their primed and double-primed
-working copies (which exist only while a transvection is being evaluated),
-and one auxiliary pair (t_0, t_1) for binary forms produced by coefficient
-extraction.  That is 26 variables in a fixed order:
+x^(k)_1) attached to the four tensor sites and one auxiliary pair
+(t_0, t_1) for binary forms produced by coefficient extraction.  That is
+10 variables in a fixed order:
 
-    index 0..7    base      x^(1)_0, x^(1)_1, ..., x^(4)_1
-    index 8..15   primed    same order
-    index 16..23  double-primed
-    index 24..25  auxiliary t_0, t_1
+    index 0..7   x^(1)_0, x^(1)_1, ..., x^(4)_1
+    index 8..9   t_0, t_1
 
 A monomial is stored as a single Python integer holding one 4-bit exponent
-field per variable (index v occupies bits 4v..4v+3).  Multiplying two
-monomials is then integer addition, so an exponent of 16 would carry
-into the next variable's field (``x1_0**16`` would read as ``x1_1``).
-``Polynomial.__mul__`` (and so ``**``) raises ``PolynomialError`` instead,
-and ``monomial`` and ``coefficient`` reject an exponent outside 0..15 with
-``ValueError``; the raw kernels below are unchecked (see ``_mul_raw``).
+field per variable (index v occupies bits 4v..4v+3), so an exponent of 16
+would carry into the next variable's field (``x1_0**16`` would read as
+``x1_1``).  ``monomial`` and ``coefficient`` reject an exponent outside
+0..15 with ``ValueError``; the raw kernels below, which serve the catalog's
+evaluation kernel, are unchecked (see ``_mul_raw``).
 A polynomial is a dict mapping monomial keys to nonzero coefficients; the
 zero polynomial is the empty dict.  Coefficients are ints when possible,
 otherwise Fraction or GaussianRational (or float in approximate mode).
+``Polynomial`` wraps such a dict for printing and queries; it has no ring
+operations.
 """
 
 from __future__ import annotations
@@ -30,64 +28,48 @@ from fractions import Fraction
 
 from .scalars import GaussianRational, normalize_scalar
 
-COPY_BASE = 0
-COPY_PRIMED = 1
-COPY_DPRIMED = 2
-
-N_VARS = 26
+N_VARS = 10
 
 # Exponent field width in the packed monomial key.
 _W = 4
 _FIELD = (1 << _W) - 1
 
 
-class PolynomialError(Exception):
-    pass
-
-
-class NonHomogeneousError(PolynomialError):
+class NonHomogeneousError(Exception):
     """Raised when a sitewise multidegree is requested for a polynomial
     that is not multihomogeneous (a catalog bug, never a user error)."""
 
 
 @dataclass(frozen=True, order=True)
 class VariableId:
-    """One binary variable: site 1..4 (0 = the auxiliary t pair),
-    component 0|1, and which working copy it belongs to."""
+    """One binary variable: site 1..4 (0 = the auxiliary t pair) and
+    component 0|1."""
 
     site: int
     component: int
-    copy: int = COPY_BASE
 
     def __post_init__(self):
-        if self.site == 0:
-            if self.copy != COPY_BASE:
-                raise ValueError("auxiliary t variables have no primed copies")
-        elif not (1 <= self.site <= 4):
+        if not 0 <= self.site <= 4:
             raise ValueError(f"site must be 0..4, got {self.site}")
         if self.component not in (0, 1):
             raise ValueError(f"component must be 0 or 1, got {self.component}")
-        if self.copy not in (COPY_BASE, COPY_PRIMED, COPY_DPRIMED):
-            raise ValueError(f"bad copy tag {self.copy}")
 
     @property
     def index(self) -> int:
         if self.site == 0:
-            return 24 + self.component
-        return 8 * self.copy + 2 * (self.site - 1) + self.component
+            return 8 + self.component
+        return 2 * (self.site - 1) + self.component
 
 
 def var_name(index: int) -> str:
-    if index >= 24:
-        return f"t{index - 24}"
-    copy, rest = divmod(index, 8)
-    site, comp = divmod(rest, 2)
-    marks = ("", "'", "''")
-    return f"x{site + 1}_{comp}{marks[copy]}"
+    if index >= 8:
+        return f"t{index - 8}"
+    site, comp = divmod(index, 2)
+    return f"x{site + 1}_{comp}"
 
 
-def x(site: int, component: int, copy: int = COPY_BASE) -> VariableId:
-    return VariableId(site, component, copy)
+def x(site: int, component: int) -> VariableId:
+    return VariableId(site, component)
 
 
 def t(component: int) -> VariableId:
@@ -95,24 +77,8 @@ def t(component: int) -> VariableId:
 
 
 # ---------------------------------------------------------------------------
-# Raw-dict kernels.  These operate on {key: coeff} dicts and are shared by
-# the Polynomial wrapper and the transvection hot path.
-
-
-def _add_raw(a: dict, b: dict) -> dict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    get = out.get
-    for k, c in b.items():
-        s = get(k, 0) + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
+# Raw-dict kernels of ``catalog.EvalSession._transvect_ground``.  These
+# operate on {key: coeff} dicts.
 
 
 def _scale_raw(a: dict, c) -> dict:
@@ -164,11 +130,6 @@ def _exponents(key: int) -> list:
     return [(key >> (_W * v)) & _FIELD for v in range(N_VARS)]
 
 
-def _exponent_maxima(a: dict) -> list:
-    """Per variable, the largest exponent among the keys of ``a`` ([] if none)."""
-    return [max(column) for column in zip(*map(_exponents, a))]
-
-
 def _diff_raw(a: dict, index: int) -> dict:
     shift = _W * index
     out = {}
@@ -213,68 +174,22 @@ class Polynomial:
             return cls({})
         return cls({_monomial_key(exponents): coeff})
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        return Polynomial(_add_raw(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            # Some pair of monomials overflows exactly when the two maxima do.
-            pairs = zip(_exponent_maxima(self.terms), _exponent_maxima(other.terms))
-            if any(ea + eb > _FIELD for ea, eb in pairs):
-                raise PolynomialError(f"an exponent would exceed {_FIELD}")
-            return Polynomial(_mul_raw(self.terms, other.terms))
-        return Polynomial(_scale_raw(self.terms, normalize_scalar(other)))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    # -- queries -----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- calculus ----------------------------------------------------------
-
-    def diff(self, v: VariableId) -> "Polynomial":
-        return Polynomial(_diff_raw(self.terms, v.index))
-
-    # -- queries -----------------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def multidegree(self):
-        """Sitewise degrees (d1, d2, d3, d4) over the base variables.
+        """Sitewise degrees (d1, d2, d3, d4) over the site variables.
 
         Returns None for the zero polynomial.  Raises NonHomogeneousError
-        if monomials disagree sitewise or if any primed / double-primed /
-        auxiliary variable is present.
+        if monomials disagree sitewise or if a key has bits past the eight
+        site fields (a t variable).
         """
         if not self.terms:
             return None
@@ -347,4 +262,3 @@ def _coeff_str(c) -> str:
         s = str(c)
         return f"({s})" if "/" in s or "i" in s else s
     return str(c)
-

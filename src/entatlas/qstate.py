@@ -1,4 +1,4 @@
-"""4-qubit states: amplitudes, integer encoding, ground form, group actions.
+"""4-qubit states: amplitudes, encoding, cleared denominators, group actions.
 
 A state is a tuple of 16 exact amplitudes a_{i1 i2 i3 i4} stored at index
 b = i1 + 2*i2 + 4*i3 + 8*i4.  This index convention is frozen; every file
@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .poly import Polynomial, _W
 from .scalars import GaussianRational, normalize_scalar
 
 
@@ -133,14 +132,14 @@ def _fraction(p) -> Fraction:
 
 
 def cleared_amplitudes(s: State):
-    """(q, q*a) for a rational state: q is the lcm of the amplitudes'
-    denominators and q*a the tuple of integer amplitudes.  None when an
-    amplitude is a float or a Gaussian rational."""
+    """(q, q*a): for a rational state q is the lcm of the amplitudes'
+    denominators and q*a the tuple of integer amplitudes; a state with a
+    float or Gaussian-rational amplitude gives (1, a)."""
     q = 1
     for a in s.amps:
         if not isinstance(a, int):
             if not isinstance(a, Fraction):
-                return None
+                return 1, s.amps
             q = lcm(q, a.denominator)
     if q == 1:
         return 1, s.amps
@@ -176,19 +175,6 @@ def encode_form(s: State) -> int:
     if not s.is_binary():
         raise StateError("encode_form needs a {0,1}-amplitude state")
     return sum(1 << b for b, a in enumerate(s.amps) if a)
-
-
-def to_ground_form(s: State) -> Polynomial:
-    """The multilinear form A = sum a_{i1..i4} x^(1)_{i1} ... x^(4)_{i4}."""
-    terms = {}
-    for b, a in enumerate(s.amps):
-        if a:
-            i = _bits(b)
-            key = 0
-            for site in range(4):
-                key |= 1 << (_W * (2 * site + i[site]))
-            terms[key] = a
-    return Polynomial(terms)
 
 
 class LocalOperator:

@@ -96,9 +96,6 @@ class GaussianRational:
             return GaussianRational(other) / self
         return NotImplemented
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 

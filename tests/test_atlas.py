@@ -95,8 +95,9 @@ def test_discover_small_set():
     # 1 (a basis ket) and 65535 (full superposition) are both separable
     assert table.representative_set == {0, 65535, 59520}
     assert table.class_of_form(1) == 65535
-    assert table.members_of(65535) == [1, 65535]
-    assert table.signature_of(59520) == signatures_for([59520], processes=1)[59520]
+    sig_of = {rep: sig for sig, rep in table.representatives.items()}
+    assert table.classes[sig_of[65535]] == [1, 65535]
+    assert sig_of[59520] == signatures_for([59520], processes=1)[59520]
 
 
 @pytest.mark.parametrize("basis", ["extnded", "", ("A", "B_0000")])

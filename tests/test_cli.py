@@ -163,11 +163,33 @@ def test_invariants_ghz_style(capsys):
     assert doc["S"] == "1/12"
 
 
-def test_eval_command(capsys):
+L_6000_ON_65218 = (
+    '{"covariant": "L_6000", "is_zero": false, "multidegree": [6, 0, 0, 0], "value": '
+    '"10240*x1_0^6 + 61440*x1_0^5*x1_1 + 153600*x1_0^4*x1_1^2 + 204800*x1_0^3*x1_1^3 '
+    '+ 153600*x1_0^2*x1_1^4 + 61440*x1_0*x1_1^5 + 10240*x1_1^6"}\n'
+)
+
+# C_3111 on a Fraction state: a negative Fraction prints as "+ (-1/18)*...".
+C_3111_ON_FRACTIONS = (
+    '{"covariant": "C_3111", "is_zero": false, "multidegree": [3, 1, 1, 1], "value": '
+    '"(1/12)*x1_0^2*x1_1*x2_0*x3_0*x4_0 + (-1/18)*x1_0^2*x1_1*x2_0*x3_1*x4_1 '
+    '+ (1/6)*x1_0*x1_1^2*x2_1*x3_0*x4_0 + (-1/6)*x1_0*x1_1^2*x2_1*x3_1*x4_1"}\n'
+)
+
+
+def test_eval_command(capsys, tmp_path):
+    """The printed polynomial is pinned term by term, in graded-lex order,
+    with integer and Fraction coefficients."""
     code, out, _ = run(capsys, "eval", "--covariant", "L_6000", "--form", "65218")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["is_zero"] is False and doc["multidegree"] == [6, 0, 0, 0]
+    assert out == L_6000_ON_65218
+    amps = [[0, 1]] * 16
+    amps[0], amps[3], amps[12], amps[15] = [1, 2], [1, 1], [1, 3], [1, 1]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": amps}))
+    code, out, _ = run(capsys, "eval", "--covariant", "C_3111", "--in", str(path))
+    assert code == 0
+    assert out == C_3111_ON_FRACTIONS
     code, _, err = run(capsys, "eval", "--covariant", "Q_9999", "--form", "3")
     assert code == 1
     code, _, err = run(capsys, "eval", "--covariant", "B_1111", "--form", "3")

@@ -15,7 +15,6 @@ from entatlas.invariants import (
     hyperdet_delta,
     in_third_secant,
     inv_B,
-    inv_B_transvectant,
     inv_D,
     inv_I2,
     inv_L,
@@ -30,7 +29,6 @@ from entatlas.invariants import (
     verstraete_quartic,
     verstraete_quartic_coeffs,
 )
-from entatlas.poly import Polynomial
 from entatlas.poly import t as t_var
 from entatlas.poly import x as x_var
 from entatlas.qstate import (
@@ -42,17 +40,17 @@ from entatlas.qstate import (
     decode_form,
     random_sl2_tuple,
     random_state,
-    to_ground_form,
 )
 from entatlas.scalars import GaussianRational, exact_quotient, normalize_scalar
 
 from conftest import ket_state
+from omega_oracle import Poly, inv_B_transvectant, to_ground_form
 
 
 # -- the polynomial route, kept as the oracle of the Gram tables -------------
 
 
-def b_form(s: State, pair: str) -> Polynomial:
+def b_form(s: State, pair: str) -> Poly:
     """Pair form b_uv: second-derivative determinant over the complement sites,
     a bidegree-(2,2) polynomial in the two retained sites."""
     keep = [SITE_OF[ch] for ch in pair]
@@ -195,7 +193,7 @@ def test_flattening_tables_match_site_assembly():
     floats = [State([float(a) * 0.37 for a in s.amps]) for s in ints + fracs]
     seen_nonzero = [False] * 4
     for s in ints + fracs + gauss + floats:
-        q, amps = cleared_amplitudes(s) or (1, s.amps)
+        q, amps = cleared_amplitudes(s)
         want = [_over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
         want.append(_over(_pairing(amps), 2 * q * q))
         got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s)]
@@ -320,17 +318,24 @@ def test_quartic_degenerates_on_nullcone():
     assert len(q.terms) == 1
 
 
+def test_verstraete_quartic_text():
+    """The printed quartic, in the t variables that follow the eight site
+    variables, highest power of t0 first."""
+    q = verstraete_quartic(random_state(3))
+    assert str(q) == "t0^4 + 36*t0^3*t1 + 1624*t0^2*t1^2 - 8964*t0*t1^3 + 141376*t1^4"
+
+
 def test_quartic_discriminant_is_delta():
     for seed in range(12):
         s = random_state(seed)
         assert quartic_delta(verstraete_quartic_coeffs(s)) == hyperdet_delta(s)
 
 
-def _verstraete_via_products(s: State) -> Polynomial:
+def _verstraete_via_products(s: State) -> Poly:
     """The assembled quartic as a sum of scalars times powers of t0 and t1,
     the oracle of the closed form in verstraete_quartic(_coeffs)."""
     B, L, M, Dxy = inv_B(s), inv_L(s), inv_M(s), inv_D(s, "xy")
-    t0, t1 = Polynomial.variable(t_var(0)), Polynomial.variable(t_var(1))
+    t0, t1 = Poly.variable(t_var(0)), Poly.variable(t_var(1))
     return (
         t0 ** 4
         - (2 * B) * t0 ** 3 * t1
