@@ -50,19 +50,17 @@ def secant3_filter(s) -> bool:
 _FILTERS = {"nullcone": nullcone_filter, "secant3": secant3_filter}
 
 
-def enumerate_forms(filter_spec="all") -> list:
+def enumerate_forms(filter_spec) -> list:
     """All n in 0..65535 whose decoded state passes the named filter
-    ("all", "nullcone" or "secant3").
+    ("nullcone" or "secant3").
 
     The filter runs once per bit-flip orbit, on its least member, and the
     verdict holds for the whole orbit: both filters test only the nullity
     of B, L, M and D_xy, which flips preserve (see ``signatures_for``).
     """
-    if filter_spec == "all":
-        return list(range(65536))
     pred = _FILTERS.get(filter_spec)
     if pred is None:
-        names = ", ".join(("all", *_FILTERS))
+        names = ", ".join(_FILTERS)
         raise ValueError(f"unknown filter {filter_spec!r}; expected one of {names}")
     verdict = bytearray(65536)  # 0 not yet seen, 1 dropped, 2 kept
     for n in range(65536):
@@ -103,21 +101,13 @@ class ClassTable:
     def representative_set(self) -> set:
         return set(self.representatives.values())
 
-    def class_of_form(self, n: int):
-        for sig, members in self.classes.items():
-            if n in members:
-                return self.representatives[sig]
-        raise KeyError(n)
 
-
-BASES = ("extended", "T", "full")
+BASES = ("extended", "full")
 
 
 def _resolve_basis(basis):
     if basis == "extended":
         return EXTENDED_T_IDS
-    if basis == "T":
-        return T_IDS
     if basis == "full":
         return tuple(build_catalog().order)
     raise ValueError(f"unknown basis {basis!r}; expected one of {', '.join(BASES)}")
@@ -210,9 +200,6 @@ class AdherenceGraph:
     nodes: list
     edges: list  # (upper, lower, caveat)
 
-    def cover_pairs(self) -> set:
-        return {(u, l) for u, l, _ in self.edges}
-
 
 def adherence_order(table: ClassTable, restrict_to=None, drop_caveats: bool = False) -> AdherenceGraph:
     """Covers of the partial order "lower's nonzero set inside upper's".
@@ -272,14 +259,6 @@ def export_graph(graph: AdherenceGraph, fmt: str = "dot") -> str:
             indent=2,
         ) + "\n"
     raise ValueError(f"unknown graph format {fmt!r}")
-
-
-def graph_from_json(text: str) -> AdherenceGraph:
-    doc = json.loads(text)
-    return AdherenceGraph(
-        nodes=list(doc["nodes"]),
-        edges=[(e["upper"], e["lower"], e["caveat"]) for e in doc["edges"]],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,6 @@ class Catalog:
     def __len__(self):
         return len(self.defs)
 
-    def ids_of_degree(self, adeg: int):
-        return [cid for cid in self.order if self.defs[cid].adeg == adeg]
-
     def _validate(self):
         """Every check the evaluation kernel relies on, run once at load."""
         if len(self.order) != len(set(self.order)):
@@ -260,10 +257,6 @@ class Catalog:
 
 def _load_text() -> str:
     return resources.files("entatlas.data").joinpath("covariants.txt").read_text()
-
-
-def catalog_file_sha256() -> str:
-    return hashlib.sha256(_load_text().encode()).hexdigest()
 
 
 _cached = None
@@ -444,7 +437,7 @@ class EvalSession:
         d = self.catalog.defs[cid]
         div = self.scale ** d.adeg * (1 if self.float_mode else d.lam)
         if div == 1 or not value:
-            return Polynomial(value)
+            return Polynomial(dict(value))  # a copy: callers must not edit the memo
         return Polynomial({k: normalize_scalar(exact_quotient(c, div)) for k, c in value.items()})
 
     def _value(self, cid) -> dict:

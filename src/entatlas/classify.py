@@ -258,11 +258,6 @@ def classify(s: State, extended: bool = False) -> ClassificationResult:
     return _secant_branch(s, extended=extended)
 
 
-def stratum(s: State) -> str:
-    """Gr / Gr' / Gr'' stratum of a state in the algorithms' domain."""
-    return classify(s).stratum
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra for dimensions.
 

@@ -175,12 +175,6 @@ def inv_B(s: State):
     return _over(total, 2 * q * q)
 
 
-def pair_gram_matrix(s: State, pair: str):
-    """The 3x3 matrix of b_uv in the bases [u0^2, u0 u1, u1^2] x [v0^2, v0 v1, v1^2]."""
-    q, amps = cleared_amplitudes(s)
-    return [[_over(c, q * q) for c in row] for row in _gram(amps, pair)]
-
-
 def inv_D(s: State, pair: str = "xy"):
     """The degree-6 invariant D_uv = det of the 3x3 Gram matrix of b_uv."""
     q, amps = cleared_amplitudes(s)

@@ -230,6 +230,10 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
+        """Terms in ``sorted_terms`` order, joined by " + ", or by " - " when
+        an int, float or Fraction coefficient is negative.  A Gaussian
+        coefficient keeps its "(a+bi)" form after " + ": a complex number
+        has no sign to fold."""
         if not self.terms:
             return "0"
         parts = []
@@ -258,6 +262,8 @@ class Polynomial:
 
 
 def _coeff_str(c) -> str:
+    if isinstance(c, Fraction) and c < 0:
+        return f"-{_coeff_str(-c)}"
     if isinstance(c, (Fraction, GaussianRational)):
         s = str(c)
         return f"({s})" if "/" in s or "i" in s else s

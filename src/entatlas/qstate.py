@@ -283,18 +283,9 @@ def permute_qubits(sigma: QubitPermutation, s: State) -> State:
     return State(out)
 
 
-def permute_form(sigma: QubitPermutation, n: int) -> int:
-    """The induced action on {0,1}-form numbers."""
-    return encode_form(permute_qubits(sigma, decode_form(n)))
-
-
-def random_state(seed, mode: str = "exact") -> State:
+def random_state(seed) -> State:
     """Reproducible pseudo-random state with small integer amplitudes."""
     rng = random.Random(seed)
-    if mode == "binary":
-        return decode_form(rng.randrange(1, 65536))
-    if mode != "exact":
-        raise StateError(f"unknown random_state mode {mode!r}")
     while True:
         amps = tuple(rng.randint(-4, 4) for _ in range(16))
         if any(amps):

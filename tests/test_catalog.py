@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
+from importlib import resources
 from math import comb
 
 import pytest
@@ -18,7 +20,6 @@ from entatlas.catalog import (
     VPP_SPEC,
     W_SPEC,
     _parse_line,
-    catalog_file_sha256,
     split_T,
 )
 from entatlas.classify import GOLDEN, classify, orbit_records
@@ -39,9 +40,9 @@ from omega_oracle import Poly, _add_raw, to_ground_form, transvect
 
 def test_census(catalog):
     assert len(catalog) == 170
-    deg2 = [str(c) for c in catalog.ids_of_degree(2)]
+    deg2 = [str(c) for c in catalog.order if catalog.defs[c].adeg == 2]
     assert deg2 == ["B_0000", "B_2200", "B_2020", "B_2002", "B_0220", "B_0202", "B_0022"]
-    deg12 = [str(c) for c in catalog.ids_of_degree(12)]
+    deg12 = [str(c) for c in catalog.order if catalog.defs[c].adeg == 12]
     assert deg12 == ["L_6000", "L_0600", "L_0060", "L_0006"]
 
 
@@ -61,7 +62,8 @@ def test_id_parse_roundtrip():
 
 
 def test_hash_pinned():
-    assert catalog_file_sha256() == CATALOG_SHA256
+    text = resources.files("entatlas.data").joinpath("covariants.txt").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256
 
 
 def _defs_with_first_term_altered(catalog, name, alter):
@@ -272,6 +274,15 @@ def test_memoization(catalog):
         # The memo holds lam_C * C on an exact state; eval divides it out.
         lam = catalog.defs[cid].lam
         assert sess.eval(name).terms == {k: Fraction(c, lam) for k, c in first.items()}
+
+
+def test_eval_returns_a_copy_of_the_memo(catalog):
+    """Editing what eval returns leaves the session's memo alone, also when
+    eval divides by 1 (every float state)."""
+    nf = apply_local(random_sl2_tuple(1), decode_form(65257))
+    sess = catalog.session(State([float(a) for a in nf.amps]))
+    sess.eval("B_2200").terms.clear()
+    assert sess.nullity(CovariantId.parse("B_2200")) == 1
 
 
 def test_evaluated_multihomogeneity(catalog):

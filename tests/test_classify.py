@@ -18,7 +18,6 @@ from entatlas.classify import (
     orbit_dimension,
     orbit_records,
     permutation_type,
-    stratum,
     terracini_rank,
 )
 from entatlas.invariants import in_third_secant, is_nilpotent
@@ -153,10 +152,10 @@ def test_permutation_covariance():
 
 
 def test_stratum_examples():
-    assert stratum(decode_form(64700)) == "Gr_6"
-    assert stratum(decode_form(65534)) == "Gr''_1"
-    assert stratum(decode_form(65520)) == "Gr_2"
-    assert stratum(decode_form(65257)) == "Gr'_2"
+    assert classify(decode_form(64700)).stratum == "Gr_6"
+    assert classify(decode_form(65534)).stratum == "Gr''_1"
+    assert classify(decode_form(65520)).stratum == "Gr_2"
+    assert classify(decode_form(65257)).stratum == "Gr'_2"
 
 
 def test_permutation_type_totals():
@@ -349,6 +348,24 @@ def test_result_to_dict(w_state):
     assert doc["permutation_type"] == permutation_type(59520)
     assert doc["invariants"] == {"B": "0"}
     assert doc["signatures"]["T"][0] == 1
+
+
+def test_nullcone_classifier_matches_census_on_every_orbit(secant_table):
+    """``classify_nullcone`` against the census, on the least member of
+    each of the 852 nonzero nullcone bit-flip orbits (the signatures that
+    start with the four invariant bits (0,0,0,0)); one member stands for
+    its orbit, as in the secant test below."""
+    _, table = secant_table
+    census = {
+        _flip_key(n): rep
+        for sig, rep in table.representatives.items()
+        if sig[:4] == (0, 0, 0, 0)
+        for n in table.classes[sig]
+        if n
+    }
+    assert len(census) == 852
+    for n, rep in sorted(census.items()):
+        assert classify_nullcone(decode_form(n)).label == rep, n
 
 
 @pytest.mark.slow

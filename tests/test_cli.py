@@ -169,11 +169,11 @@ L_6000_ON_65218 = (
     '+ 153600*x1_0^2*x1_1^4 + 61440*x1_0*x1_1^5 + 10240*x1_1^6"}\n'
 )
 
-# C_3111 on a Fraction state: a negative Fraction prints as "+ (-1/18)*...".
+# C_3111 on a Fraction state: a negative Fraction prints as "- (1/18)*...".
 C_3111_ON_FRACTIONS = (
     '{"covariant": "C_3111", "is_zero": false, "multidegree": [3, 1, 1, 1], "value": '
-    '"(1/12)*x1_0^2*x1_1*x2_0*x3_0*x4_0 + (-1/18)*x1_0^2*x1_1*x2_0*x3_1*x4_1 '
-    '+ (1/6)*x1_0*x1_1^2*x2_1*x3_0*x4_0 + (-1/6)*x1_0*x1_1^2*x2_1*x3_1*x4_1"}\n'
+    '"(1/12)*x1_0^2*x1_1*x2_0*x3_0*x4_0 - (1/18)*x1_0^2*x1_1*x2_0*x3_1*x4_1 '
+    '+ (1/6)*x1_0*x1_1^2*x2_1*x3_0*x4_0 - (1/6)*x1_0*x1_1^2*x2_1*x3_1*x4_1"}\n'
 )
 
 

@@ -9,6 +9,7 @@ from entatlas.invariants import (
     PAIRS,
     SITE_OF,
     _det4,
+    _gram,
     _over,
     all_invariants,
     delta_via_sextic,
@@ -22,7 +23,6 @@ from entatlas.invariants import (
     inv_N,
     inv_Z,
     is_nilpotent,
-    pair_gram_matrix,
     quartic_coeffs,
     quartic_delta,
     sextic_coeffs,
@@ -99,8 +99,9 @@ def _table_and_oracle(s: State):
     """(table route, b_form route) for the six Gram matrices, the six D_uv
     and the quartic, each flattened to one list of scalars."""
     table, oracle = [], []
+    q, amps = cleared_amplitudes(s)
     for pair in PAIRS:
-        table += [c for row in pair_gram_matrix(s, pair) for c in row]
+        table += [_over(c, q * q) for row in _gram(amps, pair) for c in row]
         m = _gram_via_b_form(s, pair)
         oracle += [c for row in m for c in row]
         table.append(inv_D(s, pair))
