@@ -9,11 +9,13 @@ is available behind ``basis="full"``.
 
 Both census steps work on bit-flip orbits: a flip X_k swaps |0> and |1>
 on site k, the 16 products of flips split the 65536 forms into 4336
-orbits, and every invariant bit and covariant nullity is constant on an
-orbit (proof in ``signatures_for``).  So ``enumerate_forms`` runs its
-filter and ``signatures_for`` computes a signature once per orbit.
-Signatures of 256 or more orbits are spread over a process pool of
-``processes`` workers (default: the cpu count).
+orbits, and every invariant bit and covariant nullity is constant on a
+whole GL2^4 orbit (proof in ``signatures_for``).  So ``enumerate_forms``
+runs its filter once per flip orbit.  ``signatures_for`` goes further: it
+maps each flip orbit to a sparse integer image under unimodular shears
+(``_sparse_image``), and flip orbits with the same image share one
+evaluation.  Signatures of 256 or more distinct images are spread over a
+process pool of ``processes`` workers (default: the cpu count).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from .catalog import EXTENDED_T_IDS, T_IDS, VPRIME_IDS, build_catalog, split_T
 from .classify import GOLDEN, IntegrityError
 from .invariants import inv_B, inv_D, inv_L, inv_M
-from .qstate import check_form, decode_form
+from .qstate import State, check_form, decode_form
 
 _GR3PP = frozenset({65267, 65509, 65507, 65269, 65510, 65231})
 
@@ -114,14 +116,55 @@ def _resolve_basis(basis):
 
 
 def _signature_worker(args):
-    ns, basis_key = args
+    images, basis_key = args
     cat = build_catalog()
     ids = _resolve_basis(basis_key)
     out = []
-    for n in ns:
-        s = decode_form(n)
-        out.append((n, _invariant_bits(s) + cat.signature(s, ids)))
+    for amps in images:
+        s = State(amps)
+        out.append((amps, _invariant_bits(s) + cat.signature(s, ids)))
     return out
+
+
+# The shears of the reduction: on site k (amplitude bit ``bit``), add or
+# subtract the x_{k,1-j} slice into the x_{k,j} slice, as (target, source)
+# index pairs of the changed slice.
+_SHEARS = tuple(
+    tuple((b, b ^ bit) for b in range(16) if b & bit == j)
+    for bit in (1, 2, 4, 8)
+    for j in (0, bit)
+)
+_FLIP_PERMS = tuple(tuple(b ^ m for b in range(16)) for m in range(16))
+
+
+def _sparse_image(amps) -> tuple:
+    """A sparse integer image of the state under SL2(Z)^4, keyed by flips.
+
+    Greedy descent on (nonzero count, sum of |a|): of the 16 moves
+    ``a[t] += c * a[s]`` for (t, s) in one shear slice and c = +-1, take the
+    first best one that strictly lowers that pair, until none does; the pair
+    lies in N x N, so this stops.  The result is the least of its 16 bit-flip
+    images.  Each move is the site matrix [[1, c], [0, 1]] or
+    [[1, 0], [c, 1]], of det 1, and each flip has det -1.
+    """
+    a = list(amps)
+    while True:
+        best = None
+        for pairs in _SHEARS:
+            for c in (1, -1):
+                dn = ds = 0
+                for t, s in pairs:
+                    old, new = a[t], a[t] + c * a[s]
+                    dn += (new != 0) - (old != 0)
+                    ds += abs(new) - abs(old)
+                if (dn, ds) < (0, 0) and (best is None or (dn, ds) < best[0]):
+                    best = ((dn, ds), pairs, c)
+        if best is None:
+            break
+        _, pairs, c = best
+        for t, s in pairs:
+            a[t] += c * a[s]
+    return min(tuple([a[b] for b in perm]) for perm in _FLIP_PERMS)
 
 
 def _pool_size(processes):
@@ -133,9 +176,10 @@ def _pool_size(processes):
 def signatures_for(forms, basis="extended", processes: int | None = None) -> dict:
     """n -> (invariant bits + covariant signature) for every form.
 
-    The forms are grouped by bit-flip orbit; the signature is computed on
-    the first member of each group and copied to the others.  The process
-    pool is used when there are 256 or more groups.
+    The forms are grouped by bit-flip orbit, the least member of each
+    orbit is mapped to its ``_sparse_image``, and the signature is computed
+    once per distinct image and copied to every form whose orbit maps
+    there.  The process pool is used when there are 256 or more images.
 
     Why the copy is exact.  Every catalog covariant C is built by
     transvection from the ground form A, so it is an SL2^4 covariant,
@@ -147,29 +191,31 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     nonzero and o h^-1 is an invertible linear change of variables, so
     C(g.A) is zero exactly when C(A) is.  The invariants B, L, M and D_xy
     are the order-zero case.  A flip X_k is in GL2, so every bit of the
-    signature is constant on a flip orbit.  (Qubit permutations are not
-    used: see the catalog notes.)
+    signature is constant on a flip orbit.  A shear [[1, c], [0, 1]] or
+    [[1, 0], [c, 1]] has det 1, so it is in SL2 and the identity holds
+    with l = 1.  A form's image is reached from it by flips and shears,
+    so two forms with equal images lie in one GL2^4 orbit and have equal
+    signatures.  (Qubit permutations are not used: see the catalog
+    notes.)
     """
     _resolve_basis(basis)  # an unknown name fails here, not in a worker
     forms = list(forms)
     keys = [_flip_key(n) for n in forms]
-    first = {}
-    for n, key in zip(forms, keys):
-        first.setdefault(key, n)
-    reps = list(first.values())
+    image_of = {key: _sparse_image(decode_form(key).amps) for key in dict.fromkeys(keys)}
+    images = list(dict.fromkeys(image_of.values()))
     nproc = _pool_size(processes)
-    if nproc <= 1 or len(reps) < 256:
-        sig_of = dict(_signature_worker((reps, basis)))
+    if nproc <= 1 or len(images) < 256:
+        sig_of = dict(_signature_worker((images, basis)))
     else:
         import multiprocessing as mp
 
-        chunks = [reps[i::nproc] for i in range(nproc)]
+        chunks = [images[i::nproc] for i in range(nproc)]
         with mp.Pool(nproc) as pool:
             parts = pool.map(_signature_worker, [(c, basis) for c in chunks])
         sig_of = {}
         for part in parts:
             sig_of.update(part)
-    return {n: sig_of[first[key]] for n, key in zip(forms, keys)}
+    return {n: sig_of[image_of[key]] for n, key in zip(forms, keys)}
 
 
 def discover_classes(forms, basis="extended", processes: int | None = None) -> ClassTable:

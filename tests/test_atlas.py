@@ -12,7 +12,7 @@ from entatlas.atlas import (
     _flip_images,
     _flip_key,
     _invariant_bits,
-    _signature_worker,
+    _sparse_image,
     adherence_order,
     discover_classes,
     enumerate_forms,
@@ -23,7 +23,8 @@ from entatlas.atlas import (
     verify_tables,
 )
 from entatlas.catalog import EXTENDED_T_IDS
-from entatlas.qstate import LocalOperator, StateError, apply_local, decode_form, encode_form
+from entatlas.invariants import hyperdet_delta, inv_B, inv_D, inv_L, inv_M
+from entatlas.qstate import LocalOperator, State, StateError, apply_local, decode_form, encode_form
 
 
 @pytest.mark.parametrize("name", ["secant", "", "Nullcone", "all"])
@@ -37,7 +38,6 @@ def test_filters_on_known_forms():
     assert not nullcone_filter(decode_form(65534))
     assert secant3_filter(decode_form(65534))
     assert secant3_filter(decode_form(59777))
-    from entatlas.invariants import inv_L
     outside = next(n for n in range(1, 65536) if inv_L(decode_form(n)) != 0)
     assert not secant3_filter(decode_form(outside))
 
@@ -67,9 +67,12 @@ def _whole_orbits(count, seed):
 
 
 def test_signatures_for_quotient_matches_direct(catalog):
-    """One signature per flip orbit equals the per-form signature on every
-    member of a seeded sample of whole orbits."""
-    forms = _whole_orbits(6, seed=3)
+    """One signature per sparse image equals the per-form signature on
+    forms 1, 3, 6, 7 and every member of a seeded sample of whole flip
+    orbits.  Distinct flip orbits share an image, and each image stays in
+    its form's GL2^4 orbit: L, M and Delta are equal, and B and D_xy are
+    equal up to the sign of the flips (det -1) in the reduction."""
+    forms = [1, 3, 6, 7] + _whole_orbits(6, seed=3)
     random.Random(4).shuffle(forms)
     got = signatures_for(forms, processes=1)
     assert list(got) == forms
@@ -77,6 +80,14 @@ def test_signatures_for_quotient_matches_direct(catalog):
         s = decode_form(n)
         assert got[n] == _invariant_bits(s) + catalog.signature(s, EXTENDED_T_IDS), n
     assert len(set(got.values())) > 1
+    image_of = {key: _sparse_image(decode_form(key).amps) for key in map(_flip_key, forms)}
+    assert image_of[1] == image_of[_flip_key(3)] and image_of[_flip_key(6)] == image_of[_flip_key(7)]
+    assert len(set(image_of.values())) < len(image_of)
+    for key, image in image_of.items():
+        s, r = decode_form(key), State(image)
+        assert any(r.amps) == any(s.amps)
+        assert (inv_L(r), inv_M(r), hyperdet_delta(r)) == (inv_L(s), inv_M(s), hyperdet_delta(s))
+        assert abs(inv_B(r)) == abs(inv_B(s)) and abs(inv_D(r)) == abs(inv_D(s)), key
 
 
 def test_discover_singleton_zero():
@@ -164,34 +175,20 @@ def test_report_formatting():
     assert "PASS alpha" in text and "FAIL beta: 1 != 2" in text
 
 
-@pytest.mark.slow
-def test_full_catalog_basis_agrees_on_sample(secant_table):
-    """Full-catalog signatures induce the same partition as the default
-    basis on a sample of the census forms."""
-    import random
-
+def test_full_catalog_basis_agrees_on_every_secant_orbit(secant_table):
+    """Full-catalog signatures induce the census partition, with the same
+    representatives, on all 33040 secant forms."""
     forms, table = secant_table
-    sample = random.Random(0).sample(forms, 250)
-    full = discover_classes(sample, basis="full")
-    rep_of = {n: rep for sig, rep in table.representatives.items() for n in table.classes[sig]}
-    default_partition = {}
-    for n in sample:
-        default_partition.setdefault(rep_of[n], set()).add(n)
-    full_partition = {}
-    for sig, members in full.classes.items():
-        full_partition[min(members)] = set(members)
-    assert set(map(frozenset, default_partition.values())) == set(
-        map(frozenset, full_partition.values())
-    )
+    full = discover_classes(forms, basis="full")
+    assert sorted(full.classes.values()) == sorted(table.classes.values())
+    assert full.representative_set == table.representative_set
 
 
 @pytest.mark.slow
-def test_orbit_census_matches_direct_census(secant_table, monkeypatch):
-    """The census over flip orbits equals the per-form census on all 65536
-    forms: both filters, then the partition and representatives of the
-    secant3 forms."""
-    import multiprocessing as mp
-
+def test_orbit_census_matches_direct_census(secant_table, catalog, monkeypatch):
+    """The census over flip orbits and sparse images equals the per-form
+    census on all 65536 forms: both filters, then the partition and
+    representatives of the secant3 forms, each form evaluated itself."""
     bits = {n: _invariant_bits(decode_form(n)) for n in range(65536)}
     assert enumerate_forms("nullcone") == [n for n, b in bits.items() if b == (0, 0, 0, 0)]
     direct_forms = [n for n, b in bits.items() if b[1] == b[2] == 0]
@@ -199,9 +196,11 @@ def test_orbit_census_matches_direct_census(secant_table, monkeypatch):
     assert forms == direct_forms
 
     def direct_signatures(forms, basis="extended", processes=None):
-        with mp.get_context("spawn").Pool(2) as pool:
-            parts = pool.map(_signature_worker, [(forms[i::2], basis) for i in range(2)])
-        return {n: sig for part in parts for n, sig in part}
+        sig_of = {}
+        for n in forms:
+            s = decode_form(n)
+            sig_of[n] = _invariant_bits(s) + catalog.signature(s, EXTENDED_T_IDS)
+        return sig_of
 
     monkeypatch.setattr(atlas, "signatures_for", direct_signatures)
     direct = discover_classes(forms)
