@@ -15,7 +15,8 @@ runs its filter once per flip orbit.  ``signatures_for`` goes further: it
 maps each flip orbit to a sparse integer image under unimodular shears
 (``_sparse_image``), and flip orbits with the same image share one
 evaluation.  Signatures of 256 or more distinct images are spread over a
-process pool of ``processes`` workers (default: the cpu count).
+process pool of ``processes`` workers, capped at the cores this process
+may run on (default: all of them).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from .catalog import EXTENDED_T_IDS, T_IDS, VPRIME_IDS, build_catalog, split_T
 from .classify import GOLDEN, IntegrityError
 from .invariants import inv_B, inv_D, inv_L, inv_M
-from .qstate import State, check_form, decode_form
+from .qstate import _SITE_PAIRS, State, check_form, decode_form
 
 _GR3PP = frozenset({65267, 65509, 65507, 65269, 65510, 65231})
 
@@ -126,13 +127,11 @@ def _signature_worker(args):
     return out
 
 
-# The shears of the reduction: on site k (amplitude bit ``bit``), add or
-# subtract the x_{k,1-j} slice into the x_{k,j} slice, as (target, source)
-# index pairs of the changed slice.
+# The shears of the reduction: on each site, add or subtract the x_{k,1}
+# slice into the x_{k,0} slice, or the reverse, as (target, source) index
+# pairs of the changed slice.
 _SHEARS = tuple(
-    tuple((b, b ^ bit) for b in range(16) if b & bit == j)
-    for bit in (1, 2, 4, 8)
-    for j in (0, bit)
+    shear for pairs in _SITE_PAIRS for shear in (pairs, tuple((s, t) for t, s in pairs))
 )
 _FLIP_PERMS = tuple(tuple(b ^ m for b in range(16)) for m in range(16))
 
@@ -168,9 +167,12 @@ def _sparse_image(amps) -> tuple:
 
 
 def _pool_size(processes):
-    if processes is not None:
-        return max(1, processes)
-    return os.cpu_count() or 1
+    """``processes`` (default: all), at least 1 and at most the usable cores."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return cores if processes is None else max(1, min(processes, cores))
 
 
 def signatures_for(forms, basis="extended", processes: int | None = None) -> dict:

@@ -57,7 +57,7 @@ from math import gcd, lcm
 
 from .poly import _W, Polynomial, _diff_raw, _mul_raw, _scale_raw
 from .qstate import State, cleared_amplitudes
-from .scalars import GaussianRational, exact_quotient, normalize_scalar
+from .scalars import exact_quotient, normalize_scalar
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
@@ -481,11 +481,7 @@ class EvalSession:
         values = [self._value(cid) for cid in group]
         if not self.float_mode:
             return 1 if any(values) else 0
-        mag = max(
-            (abs(complex(c.re, c.im)) if isinstance(c, GaussianRational) else abs(float(c))
-             for terms in values for c in terms.values()),
-            default=0.0,
-        )
+        mag = max((abs(float(c)) for terms in values for c in terms.values()), default=0.0)
         if mag > FLOAT_TOLERANCE:
             self.min_margin = min(self.min_margin, mag / FLOAT_TOLERANCE)
             return 1
@@ -581,8 +577,8 @@ _BOLD_F = (
 # Extended discovery basis: the T list plus the degree-6 covariants feeding
 # V'' and the catalog's own degree-2 invariant.  These are exactly the bits
 # the golden evaluation tables summarize, and the partition they induce
-# coincides with the full catalog's on both census runs; the slow
-# cross-check test compares against full-catalog signatures on a sample.
+# coincides with the full catalog's on both census runs; a Tier-1 test
+# compares it with the full catalog's partition on every secant orbit.
 EXTENDED_T_IDS = T_IDS + _ids("B_0000") + sum(_BOLD_F, ())
 
 # The composite vectors, one entry per bit, decided by ``EvalSession.bits``:

@@ -24,7 +24,7 @@ from importlib import resources
 
 from .catalog import T_IDS, VPRIME_IDS, EvalSession, build_catalog
 from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z, invariant_nonzero, is_nilpotent
-from .qstate import State, StateError, check_nonzero, decode_form
+from .qstate import _SITE_PAIRS, State, StateError, _act_on_site, _tensor, check_nonzero, decode_form
 from .scalars import GaussianRational, exact_quotient
 
 
@@ -300,11 +300,10 @@ def exact_rank(rows) -> int:
 
 def _gl_generator_image(s: State, site: int, a: int, b: int):
     """(E_ab acting on one site) applied to s, as a 16-vector."""
-    out = [0] * 16
-    for j in range(16):
-        jk = (j >> site) & 1
-        if jk == a:
-            out[j] = s.amps[j ^ ((a ^ b) << site)]
+    unit = [[0, 0], [0, 0]]
+    unit[a][b] = 1
+    out = list(s.amps)
+    _act_on_site(out, site, unit)
     return out
 
 
@@ -322,53 +321,30 @@ def orbit_dimension(s: State) -> int:
 
 
 def factor_separable(s: State):
-    """Recover the four tensor factors of a rank-one state; raises on
-    non-separable input."""
-    rest = list(check_nonzero(s).amps)
-    nsites = 4
+    """Recover the four tensor factors of a rank-one state, each read from
+    the fiber through the first nonzero amplitude as (1, lambda), (0, 1) or
+    (1, 0), the first one times that amplitude; raises on non-separable
+    input."""
+    amps = check_nonzero(s).amps
+    p = next(b for b, a in enumerate(amps) if a)
     factors = []
-    for site in range(nsites):
-        half = len(rest) // 2
-        r0 = [rest[i] for i in range(len(rest)) if not (i >> 0) & 1]
-        r1 = [rest[i] for i in range(len(rest)) if (i >> 0) & 1]
-        if not any(r0):
-            factors.append((0, 1))
-            rest = r1
-        elif not any(r1):
-            factors.append((1, 0))
-            rest = r0
-        else:
-            j = next(i for i, c in enumerate(r0) if c)
-            lam = exact_quotient(r1[j], r0[j])
-            if any(r1[i] != lam * r0[i] for i in range(half)):
-                raise StateError("state is not separable")
-            factors.append((1, lam))
-            rest = r0
-    factors[0] = tuple(c * rest[0] for c in factors[0])
+    for pairs in _SITE_PAIRS:
+        a0, a1 = next((amps[i], amps[j]) for i, j in pairs if p in (i, j))
+        factors.append((0, 1) if not a0 else (1, exact_quotient(a1, a0)) if a1 else (1, 0))
+    factors[0] = tuple(c * amps[p] for c in factors[0])
+    if _tensor(factors) != list(amps):
+        raise StateError("state is not separable")
     return factors
 
 
 def tangent_space_rows(point):
     """The eight spanning vectors of the affine tangent space to the
     separable variety at v1 (x) v2 (x) v3 (x) v4."""
-    v = point
-    rows = []
-    for site in range(4):
-        for e in ((1, 0), (0, 1)):
-            vec = [0] * 16
-            for b in range(16):
-                c = 1
-                for k in range(4):
-                    comp = (b >> k) & 1
-                    f = e[comp] if k == site else v[k][comp]
-                    if not f:
-                        c = 0
-                        break
-                    c = c * f
-                if c:
-                    vec[b] = c
-            rows.append(vec)
-    return rows
+    return [
+        _tensor([*point[:site], e, *point[site + 1:]])
+        for site in range(4)
+        for e in ((1, 0), (0, 1))
+    ]
 
 
 def terracini_rank(points) -> int:

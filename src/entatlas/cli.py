@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("variety", choices=("nullcone", "secant3"))
         p.add_argument("--basis", default="extended", choices=BASES)
         p.add_argument("--processes", type=int, default=None,
-                       help="worker count (default: cpu count)")
+                       help="worker count, at most the usable cores (default: all)")
         if name == "atlas":
             p.add_argument("--out", default="atlas-out")
             p.set_defaults(fn=cmd_atlas)

@@ -134,11 +134,15 @@ def _fraction(p) -> Fraction:
 def cleared_amplitudes(s: State):
     """(q, q*a): for a rational state q is the lcm of the amplitudes'
     denominators and q*a the tuple of integer amplitudes; a state with a
-    float or Gaussian-rational amplitude gives (1, a)."""
+    float or Gaussian-rational amplitude gives (1, a), and one with both
+    raises ``StateError``."""
     q = 1
     for a in s.amps:
         if not isinstance(a, int):
             if not isinstance(a, Fraction):
+                other = GaussianRational if isinstance(a, float) else float
+                if any(isinstance(x, other) for x in s.amps):
+                    raise StateError("float mode does not support complex amplitudes")
                 return 1, s.amps
             q = lcm(q, a.denominator)
     if q == 1:
@@ -220,24 +224,35 @@ def _matmul2(a, b):
 
 
 def apply_local(g: LocalOperator, s: State) -> State:
-    """Tensor action (g1 (x) g2 (x) g3 (x) g4)|s>."""
-    out = [0] * 16
-    for b, a in enumerate(s.amps):
-        if not a:
-            continue
-        i = _bits(b)
-        for jb in range(16):
-            j = _bits(jb)
-            c = a
-            for k in range(4):
-                f = g.factors[k][j[k]][i[k]]
-                if not f:
-                    c = 0
-                    break
-                c = c * f
-            if c:
-                out[jb] = out[jb] + c
-    return State(out)
+    """Tensor action (g1 (x) g2 (x) g3 (x) g4)|s>, one site at a time."""
+    amps = list(s.amps)
+    for k, m in enumerate(g.factors):
+        _act_on_site(amps, k, m)
+    return State(amps)
+
+
+# The index pairs (b, b | 2**k), bit k of b clear, in increasing b: the
+# amplitudes that a 2x2 matrix at site k+1 mixes.
+_SITE_PAIRS = tuple(
+    tuple((b, b | 1 << k) for b in range(16) if not b >> k & 1) for k in range(4)
+)
+
+
+def _act_on_site(amps: list, k: int, m) -> None:
+    """Apply the 2x2 matrix m at site k+1 of the 16-list amps, in place."""
+    (m00, m01), (m10, m11) = m
+    for i, j in _SITE_PAIRS[k]:
+        a0, a1 = amps[i], amps[j]
+        amps[i] = m00 * a0 + m01 * a1
+        amps[j] = m10 * a0 + m11 * a1
+
+
+def _tensor(vectors) -> list:
+    """v1 (x) v2 (x) v3 (x) v4 as a 16-list: site k+1 of |0000> goes to v_k."""
+    amps = [1] + [0] * 15
+    for k, (v0, v1) in enumerate(vectors):
+        _act_on_site(amps, k, ((v0, 0), (v1, 0)))
+    return amps
 
 
 class QubitPermutation:

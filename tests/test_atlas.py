@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import types
 
@@ -173,6 +174,14 @@ def test_report_formatting():
     assert not r.ok
     text = str(r)
     assert "PASS alpha" in text and "FAIL beta: 1 != 2" in text
+
+
+def test_pool_size_capped_at_usable_cores():
+    """The pool never outgrows the cores this process may run on; the
+    function is tested alone, so no pool is started."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert atlas._pool_size(10**6) == atlas._pool_size(None) == cores
+    assert atlas._pool_size(0) == atlas._pool_size(-3) == atlas._pool_size(1) == 1
 
 
 def test_full_catalog_basis_agrees_on_every_secant_orbit(secant_table):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from entatlas.atlas import _flip_key
-from entatlas.catalog import EvalSession
+from entatlas.atlas import _flip_key, _sparse_image
+from entatlas.catalog import T_IDS, EvalSession, build_catalog
 from entatlas.classify import (
     GOLDEN,
     ClassifyFail,
@@ -20,7 +20,7 @@ from entatlas.classify import (
     permutation_type,
     terracini_rank,
 )
-from entatlas.invariants import in_third_secant, is_nilpotent
+from entatlas.invariants import all_invariants, in_third_secant, is_nilpotent
 from entatlas.qstate import (
     QubitPermutation,
     State,
@@ -31,7 +31,7 @@ from entatlas.qstate import (
     random_sl2_tuple,
     random_state,
 )
-from entatlas.scalars import GaussianRational
+from entatlas.scalars import GaussianRational, exact_quotient
 
 from conftest import ket_state
 
@@ -194,21 +194,33 @@ def test_exact_rank():
 
 
 def test_factor_separable():
-    v = [(1, 2), (3, -1), (0, 1), (2, 5)]
-    amps = [0] * 16
-    for b in range(16):
-        c = 1
-        for k in range(4):
-            c *= v[k][(b >> k) & 1]
-        amps[b] = c
-    fs = factor_separable(State(amps))
-    rebuilt = [0] * 16
-    for b in range(16):
-        c = 1
-        for k in range(4):
-            c = c * fs[k][(b >> k) & 1]
-        rebuilt[b] = c
-    assert State(rebuilt) == State(amps)
+    """Integer, Fraction and Gaussian factors, some with a zero component:
+    the recovered factors rebuild the state, and all but the first are
+    scaled to (1, lambda), (0, 1) or (1, 0)."""
+    i = GaussianRational(0, 1)
+    for v in (
+        [(1, 2), (3, -1), (0, 1), (2, 5)],
+        [(Fraction(1, 2), 0), (0, -3), (1, 1), (Fraction(-2, 3), 4)],
+        [(i, 1), (1, 0), (GaussianRational(1, -2), Fraction(1, 2)), (0, i)],
+        [(0, GaussianRational(Fraction(1, 3), 1)), (2 * i, 3), (5, 0), (1, -i)],
+    ):
+        amps = [0] * 16
+        for b in range(16):
+            c = 1
+            for k in range(4):
+                c = c * v[k][(b >> k) & 1]
+            amps[b] = c
+        fs = factor_separable(State(amps))
+        rebuilt = [0] * 16
+        for b in range(16):
+            c = 1
+            for k in range(4):
+                c = c * fs[k][(b >> k) & 1]
+            rebuilt[b] = c
+        assert State(rebuilt) == State(amps), v
+        for f, w in zip(fs[1:], v[1:]):
+            want = (0, 1) if not w[0] else (1, exact_quotient(w[1], w[0])) if w[1] else (1, 0)
+            assert f == want, v
 
 
 def test_factor_separable_rejects_entangled(ghz):
@@ -267,6 +279,21 @@ def test_float_mode_normal_forms():
         if r.label != label or r.mode != "float":
             bad.append((label, r.label, r.mode))
     assert not bad
+
+
+def test_float_and_gaussian_amplitudes_rejected():
+    """A state with both float and Gaussian amplitudes fits neither the
+    exact nor the float mode: each entry point raises ``StateError``."""
+    i = GaussianRational(0, 1)
+    s = State([1.5] + [i if a else 0 for a in decode_form(65257).amps[1:]])
+    for call in (
+        classify,
+        all_invariants,
+        is_nilpotent,
+        lambda s: build_catalog().session(s).signature(T_IDS),
+    ):
+        with pytest.raises(StateError, match="float mode does not support complex amplitudes"):
+            call(s)
 
 
 def _float_miss_images():
@@ -366,6 +393,35 @@ def test_nullcone_classifier_matches_census_on_every_orbit(secant_table):
     assert len(census) == 852
     for n, rep in sorted(census.items()):
         assert classify_nullcone(decode_form(n)).label == rep, n
+
+
+def test_classifiers_match_census_on_every_image(secant_table):
+    """Both decision procedures against the census on all 2223 nonzero
+    secant3 bit-flip orbits, one classification per sparse image.
+
+    Each orbit's least member is mapped to its ``_sparse_image``, as the
+    census does, and one state per image is classified.  The image is
+    reached by flips and shears, each shear of det 1, so it lies in the
+    GL2^4 orbit of every form that maps to it, and both procedures, which
+    read only invariant and covariant nullities, give it their label.
+    The expected labels are those of the per-orbit test below."""
+    forms, table = secant_table
+    census = {n: rep for sig, rep in table.representatives.items() for n in table.classes[sig]}
+    orbits_of = {}
+    for n in sorted({_flip_key(n) for n in forms} - {0}):
+        orbits_of.setdefault(_sparse_image(decode_form(n).amps), []).append(n)
+    assert sum(map(len, orbits_of.values())) == 2223
+    assert len(orbits_of) == 762
+    moved = {}
+    for image, orbits in orbits_of.items():
+        s = State(image)
+        label, extended = classify_secant3(s).label, classify_secant3_extended(s).label
+        for n in orbits:
+            assert label == census[n], n
+            if extended != census[n]:
+                moved[n] = (census[n], extended)
+    assert len(moved) == 39
+    assert set(moved.values()) == {(65257, 6014)}
 
 
 @pytest.mark.slow
