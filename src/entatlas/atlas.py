@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .catalog import EXTENDED_T_IDS, T_IDS, VPRIME_IDS, build_catalog, split_T
 from .classify import GOLDEN, IntegrityError
@@ -93,12 +93,17 @@ def _flip_key(n: int) -> int:
     return min(_flip_images(check_form(n)))
 
 
-@dataclass
-class ClassTable:
-    """Signature-keyed partition of a form set."""
+class ClassTable(namedtuple("ClassTable", "classes representatives")):
+    """Signature-keyed partition of a form set: ``classes`` maps a
+    signature to its sorted members, ``representatives`` to its
+    representative label."""
 
-    classes: dict = field(default_factory=dict)  # signature -> sorted members
-    representatives: dict = field(default_factory=dict)  # signature -> rep label
+    __slots__ = ()
+
+    def __new__(cls, classes=None, representatives=None):
+        classes = {} if classes is None else classes
+        representatives = {} if representatives is None else representatives
+        return super().__new__(cls, classes, representatives)
 
     @property
     def representative_set(self) -> set:
@@ -241,12 +246,11 @@ def discover_classes(forms, basis="extended", processes: int | None = None) -> C
     return table
 
 
-@dataclass
-class AdherenceGraph:
-    """Hasse diagram of the signature partial order (upper covers lower)."""
+class AdherenceGraph(namedtuple("AdherenceGraph", "nodes edges")):
+    """Hasse diagram of the signature partial order (upper covers lower);
+    each edge is (upper, lower, caveat)."""
 
-    nodes: list
-    edges: list  # (upper, lower, caveat)
+    __slots__ = ()
 
 
 def adherence_order(table: ClassTable, restrict_to=None, drop_caveats: bool = False) -> AdherenceGraph:
@@ -313,9 +317,11 @@ def export_graph(graph: AdherenceGraph, fmt: str = "dot") -> str:
 # Golden-table verification.
 
 
-@dataclass
-class Report:
-    lines: list = field(default_factory=list)
+class Report(namedtuple("Report", "lines")):
+    __slots__ = ()
+
+    def __new__(cls, lines=None):
+        return super().__new__(cls, [] if lines is None else lines)
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.lines.append((name, ok, detail))

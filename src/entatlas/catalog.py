@@ -20,13 +20,18 @@ states are evaluated in ``int`` arithmetic only; float states keep the
 catalog's own coefficients and their summation order (see
 ``EvalSession`` for both proofs).  Because of the validated term shape,
 one kernel evaluates every term, and it is the package's only
-transvection: the ground-form-specialized ``EvalSession._transvect_ground``,
-which differentiates each prefix of its derivative chains once.  The
-tests pin it against the literal Omega process, which they keep as an
-oracle (``tests/omega_oracle.py``).  The kernel trusts the load-time
-checks and repeats none of them; the one check left at evaluation runs
-once per covariant, where its value is memoized (``EvalSession._value``):
-the value is multihomogeneous of the declared multidegree.
+transvection: the ground-form-specialized ``EvalSession._transvect_ground``.
+The ground form is multilinear, so each of its amplitudes meets Omega at
+an index site in one way only (the per-site rule, proved there): the
+kernel groups the amplitudes by their bits on the index sites, takes for
+each group the one derivative of rhs it needs, read off the exponents in
+the keys, and adds its products with the group's amplitudes.  The tests
+pin it against the literal Omega process, which they keep as an oracle
+(``tests/omega_oracle.py``), on every scalar kind.
+The kernel trusts the load-time checks and repeats none of them; the one
+check left at evaluation runs once per covariant, where its value is
+memoized (``EvalSession._value``): the value is multihomogeneous of the
+declared multidegree.
 ``Catalog.session`` hands out a new session on every call and the catalog
 keeps none, so a caller that reads one state several times holds its
 session, and states evaluate independently in parallel.  The composite
@@ -48,16 +53,25 @@ permutations.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 from math import gcd, lcm
 
-from .poly import _W, Polynomial, _diff_raw, _mul_raw, _scale_raw
+from .poly import _FIELD, _W, Polynomial, _mul_raw, _scale_raw
 from .qstate import State, cleared_amplitudes
 from .scalars import exact_quotient, normalize_scalar
+
+# CPython's own SHA-256 (``_sha2`` since 3.12, ``_sha256`` before): hashlib
+# would load OpenSSL, about 3.7 MB of resident memory in every process.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
@@ -75,11 +89,8 @@ class CatalogError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class CovariantId:
-    letter: str
-    multidegree: tuple
-    variant: int = 0
+class CovariantId(namedtuple("CovariantId", "letter multidegree variant", defaults=(0,))):
+    __slots__ = ()
 
     def __str__(self):
         if self.letter == "A" and self.multidegree == (1, 1, 1, 1):
@@ -102,18 +113,19 @@ class CovariantId:
 GROUND_ID = CovariantId("A", (1, 1, 1, 1), 0)
 
 
-@dataclass(frozen=True)
-class CovariantDef:
-    """One catalog entry: a rational combination of transvections."""
+class CovariantDef(
+    namedtuple("CovariantDef", "cid adeg terms lam int_coefs", defaults=(1, ()))
+):
+    """One catalog entry: a rational combination of transvections.
 
-    cid: CovariantId
-    adeg: int  # degree in the state coefficients
-    terms: tuple  # ((Fraction coef, lhs CovariantId, rhs CovariantId, idx), ...)
-    # Set in the catalog's own copy by ``Catalog._validate``: lam * C has
-    # integer coefficients on integer amplitudes, and int_coefs[t] =
-    # lam * coef_t / lam_rhs_t is the coefficient of term t in that sum.
-    lam: int = 1
-    int_coefs: tuple = ()
+    ``adeg`` is the degree in the state coefficients and ``terms`` holds
+    (Fraction coef, lhs CovariantId, rhs CovariantId, idx) tuples.
+    ``Catalog._validate`` sets the last two fields in the catalog's own
+    copy: lam * C has integer coefficients on integer amplitudes, and
+    int_coefs[t] = lam * coef_t / lam_rhs_t is the coefficient of term t
+    in that sum."""
+
+    __slots__ = ()
 
     @property
     def is_ground(self):
@@ -213,7 +225,7 @@ class Catalog:
             if len(adegs) != 1:
                 raise CatalogError(f"{cid}: terms disagree on coefficient degree")
             resolved[cid] = adegs.pop()
-            self.defs[cid] = replace(d, adeg=resolved[cid], lam=lam, int_coefs=tuple(
+            self.defs[cid] = d._replace(adeg=resolved[cid], lam=lam, int_coefs=tuple(
                 lam * coef.numerator // (coef.denominator * self.defs[rhs].lam)
                 for coef, _, rhs, _ in d.terms
             ))
@@ -269,7 +281,7 @@ def build_catalog() -> Catalog:
     if _cached is not None:
         return _cached
     text = _load_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = sha256(text.encode()).hexdigest()
     if digest != CATALOG_SHA256:
         raise CatalogError(
             f"catalog file hash {digest} does not match pinned {CATALOG_SHA256}"
@@ -310,6 +322,42 @@ def _accumulate(acc: dict, terms: dict, negate=False) -> dict:
             elif k in acc:
                 del acc[k]
     return acc
+
+
+def _index_table(idx) -> tuple:
+    """The state-free part of the kernel for the index ``idx``:
+    (entries, shifts).
+
+    An amplitude a_b meets the index sites through its selector, the bits
+    of b on those sites.  ``entries`` holds one (selector, b, key offset,
+    odd) tuple per b, in increasing (selector, b): the offset is
+    +x_{k,b_k} on the other sites and -x_{k,1-b_k} on the index sites, and
+    ``odd`` is the parity of the number of index sites with b_k = 1.
+    ``shifts[selector]`` holds, for each index site k in increasing k, the
+    bit offset of the exponent field of x_{k,1-b_k}."""
+    sites = [k for k in range(4) if idx[k]]
+    mask = sum(1 << k for k in sites)
+    entries = []
+    for b in range(16):
+        offset = odd = 0
+        for k in range(4):
+            bit = (b >> k) & 1
+            if idx[k]:
+                offset -= 1 << (_W * (2 * k + 1 - bit))
+                odd ^= bit
+            else:
+                offset += 1 << (_W * (2 * k + bit))
+        entries.append((b & mask, b, offset, odd))
+    entries.sort()
+    shifts = {
+        sel: tuple(_W * (2 * k + 1 - ((sel >> k) & 1)) for k in sites) for sel, _, _, _ in entries
+    }
+    return tuple(entries), shifts
+
+
+_INDEX_TABLES = {
+    idx: _index_table(idx) for idx in (tuple((m >> k) & 1 for k in range(4)) for m in range(16))
+}
 
 
 class EvalSession:
@@ -358,75 +406,94 @@ class EvalSession:
         q, amps = cleared_amplitudes(state)
         self.scale = q
         self._amps = amps
-        self._slices = {}
-        # The slice that takes no derivative is the ground form itself.
-        self._values = {GROUND_ID: self._ground_slice((0, 0, 0, 0))}
+        self._selectors = {}
+        # With no index site, the one selector's group is the ground form
+        # itself, in increasing b.
+        self._values = {GROUND_ID: {
+            offset: a for _, group in self._selectors_of((0, 0, 0, 0)) for offset, a in group.items()
+        }}
         self.min_margin = float("inf")
 
-    # Derivative slices of the multilinear ground form.  Selector per site:
-    # 0 = untouched, 1 = d/dx_{k,0}, 2 = d/dx_{k,1}.
-    def _ground_slice(self, sel) -> dict:
-        cached = self._slices.get(sel)
-        if cached is not None:
-            return cached
+    def _selectors_of(self, idx) -> list:
+        """The nonzero amplitudes grouped by selector (see ``_index_table``),
+        memoized per idx: one (shifts, group) pair per selector, in
+        increasing selector, where ``group`` maps the key offset of each
+        amplitude a_b of the selector, in increasing b, to a_b signed -1 to
+        the number of index sites with b_k = 1."""
+        selectors = self._selectors.get(idx)
+        if selectors is not None:
+            return selectors
+        entries, shifts = _INDEX_TABLES[idx]
         amps = self._amps
-        free = [k for k in range(4) if sel[k] == 0]
-        terms = {}
-        for m in range(1 << len(free)):
-            b = 0
-            key = 0
-            for pos, k in enumerate(free):
-                bit = (m >> pos) & 1
-                b += bit << k
-                key += 1 << (_W * (2 * k + bit))
-            for k in range(4):
-                if sel[k] == 2:
-                    b += 1 << k
+        groups = {}
+        for sel, b, offset, odd in entries:
             a = amps[b]
             if a:
-                terms[key] = a
-        return self._slices.setdefault(sel, terms)
+                groups.setdefault(sel, {})[offset] = -a if odd else a
+        selectors = self._selectors[idx] = [(shifts[sel], group) for sel, group in groups.items()]
+        return selectors
 
     def _transvect_ground(self, rhs: dict, idx) -> dict:
-        """(A, rhs)^idx with idx in {0,1}^4, via cached ground-form slices.
+        """(A, rhs)^idx with idx in {0,1}^4, by the per-site rule.
 
         A is the session's ground form, the one on the cleared amplitudes.
         The caller guarantees what ``Catalog._validate`` proves for every
         catalog term: idx fits the degrees of A and rhs, and the result,
         when nonzero, has the multidegree the degree law gives.
 
-        Omega expansion: selector m has bit j_pos for the pos-th index
-        site k; A takes d/dx_{k,j} (slice selector 1 + j) and rhs the
-        opposite component d/dx_{k,1-j}, with sign (-1)^j.  The derivative
-        chains of rhs grow site by site, so each prefix is differentiated
-        once: at most 2^(s+1) - 2 diffs for s index sites, not s * 2^s.
+        Per-site rule.  Omega at an index site k is
+        d/dx'_{k,0} d/dx''_{k,1} - d/dx'_{k,1} d/dx''_{k,0}.  A is
+        multilinear, so its monomial a_b * prod_k x_{k,b_k} survives only
+        the derivative in x_{k,b_k}, which removes that variable with
+        factor 1, and only the term of Omega in which rhs takes the
+        derivative in x_{k,1-b_k}, with sign -1 if b_k = 1.  On a monomial
+        of rhs with m_k = deg x_{k,1} at a site of degree d_k, that is:
+        m_k goes down with factor m_k if b_k = 0, and stays with factor
+        d_k - m_k if b_k = 1.  So the term (key, c) of rhs and the amplitude
+        a_b give a_b * f * c at key + offset_b, where f is the product of
+        the exponents of x_{k,1-b_k} in key over the index sites, and
+        offset_b and the sign are those of ``_index_table``.  f depends on
+        b only through its selector, so for each selector and rhs term it
+        is formed once, and the term's products with all the selector's
+        amplitudes follow.
 
-        Float sums are unchanged by the sharing.  A chain's coefficients
-        come from the same multiplications, in the same site order, as
-        differentiating rhs afresh for each selector.  Each selector's
-        product is formed on its own and then added, in increasing m, into
-        one accumulator (``_accumulate``), with the same values and key
-        order as adding the products one by one into copies.
-        Adding each monomial product straight into the accumulator would
-        regroup the float sums and move results."""
-        # (chain of rhs, selector of A, sign bit), in increasing m.
-        chains = [(rhs, (0, 0, 0, 0), 0)]
-        for k in range(4):
-            if not idx[k]:
+        One loop serves every state.  For each selector, in increasing
+        order, the derivative of rhs multiplies each c by its exponents one
+        index site at a time, in increasing k, and drops the terms with a
+        zero exponent.  Exact states (int, cleared ``Fraction``, Gaussian)
+        add every product straight into one dict and drop the cancelled
+        sums at the end.  Float states must keep the literal expansion's
+        sums: increasing selector is the expansion's order, the site by site
+        products are its derivative's roundings, and the selector's product
+        is formed by ``poly._mul_raw`` and added with ``_accumulate``, as the
+        expansion's own product and sum were.  Each float value then has the
+        roundings, key order and dropped zeros of the literal expansion; a
+        signed amplitude changes no rounding, because IEEE products and sums
+        are symmetric in sign."""
+        float_mode = self.float_mode
+        acc = {}
+        get = acc.get
+        for shifts, group in self._selectors_of(idx):
+            derivative = {}
+            for key, c in rhs.items():
+                for shift in shifts:
+                    e = (key >> shift) & _FIELD
+                    if not e:
+                        break
+                    c = c * e
+                else:
+                    derivative[key] = c
+            if not derivative:
                 continue
-            grown = []
-            for j in (0, 1):
-                index = 2 * k + 1 - j
-                for dR, sel, neg in chains:
-                    d = _diff_raw(dR, index)
-                    if d:
-                        grown.append((d, sel[:k] + (1 + j,) + sel[k + 1 :], neg ^ j))
-            chains = grown
-        acc: dict = {}
-        for dR, sel, neg in chains:
-            dA = self._ground_slice(sel)
-            if dA:
-                acc = _accumulate(acc, _mul_raw(dA, dR), neg)
+            if float_mode:
+                acc = _accumulate(acc, _mul_raw(group, derivative))
+                continue
+            for offset, a in group.items():
+                for key, c in derivative.items():
+                    k = key + offset
+                    acc[k] = get(k, 0) + a * c
+        if not float_mode and 0 in acc.values():
+            return {k: c for k, c in acc.items() if c}
         return acc
 
     def eval(self, cid) -> Polynomial:

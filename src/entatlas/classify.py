@@ -18,7 +18,7 @@ and the frozen qubit-permutation type map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 
@@ -141,14 +141,14 @@ def permutation_type(label: int) -> int:
     return types[label]
 
 
-@dataclass
-class ClassificationResult:
-    label: int
-    variety: str
-    stratum: str
-    signatures: dict = field(default_factory=dict)
-    mode: str = "exact"
-    confidence: str = "exact"
+class ClassificationResult(
+    namedtuple("ClassificationResult", "label variety stratum signatures mode confidence")
+):
+    __slots__ = ()
+
+    def __new__(cls, label, variety, stratum, signatures=None, mode="exact", confidence="exact"):
+        signatures = {} if signatures is None else signatures
+        return super().__new__(cls, label, variety, stratum, signatures, mode, confidence)
 
     def to_dict(self, invariants: dict | None = None) -> dict:
         out = {

@@ -23,7 +23,7 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import GaussianRational, normalize_scalar
@@ -40,19 +40,18 @@ class NonHomogeneousError(Exception):
     that is not multihomogeneous (a catalog bug, never a user error)."""
 
 
-@dataclass(frozen=True, order=True)
-class VariableId:
+class VariableId(namedtuple("VariableId", "site component")):
     """One binary variable: site 1..4 (0 = the auxiliary t pair) and
     component 0|1."""
 
-    site: int
-    component: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.site <= 4:
-            raise ValueError(f"site must be 0..4, got {self.site}")
-        if self.component not in (0, 1):
-            raise ValueError(f"component must be 0 or 1, got {self.component}")
+    def __new__(cls, site: int, component: int):
+        if not 0 <= site <= 4:
+            raise ValueError(f"site must be 0..4, got {site}")
+        if component not in (0, 1):
+            raise ValueError(f"component must be 0 or 1, got {component}")
+        return super().__new__(cls, site, component)
 
     @property
     def index(self) -> int:
@@ -77,8 +76,9 @@ def t(component: int) -> VariableId:
 
 
 # ---------------------------------------------------------------------------
-# Raw-dict kernels of ``catalog.EvalSession._transvect_ground``.  These
-# operate on {key: coeff} dicts.
+# Raw kernels on {key: coeff} dicts: ``catalog.EvalSession`` scales its
+# term values with ``_scale_raw``, and the float branch of its transvection
+# forms each selector's product with ``_mul_raw``.
 
 
 def _scale_raw(a: dict, c) -> dict:
@@ -128,16 +128,6 @@ def _monomial_key(exponents: dict) -> int:
 def _exponents(key: int) -> list:
     """The N_VARS exponents packed in a monomial key, in variable order."""
     return [(key >> (_W * v)) & _FIELD for v in range(N_VARS)]
-
-
-def _diff_raw(a: dict, index: int) -> dict:
-    shift = _W * index
-    out = {}
-    for k, c in a.items():
-        e = (k >> shift) & _FIELD
-        if e:
-            out[k - (1 << shift)] = c * e
-    return out
 
 
 # ---------------------------------------------------------------------------

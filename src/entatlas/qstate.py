@@ -21,6 +21,9 @@ class StateError(Exception):
     pass
 
 
+_AMPLITUDE_TYPES = (int, Fraction, float, GaussianRational)
+
+
 def _bits(b: int):
     return (b & 1, (b >> 1) & 1, (b >> 2) & 1, (b >> 3) & 1)
 
@@ -42,6 +45,12 @@ class State:
         amps = tuple([normalize_scalar(a) for a in amplitudes])
         if len(amps) != 16:
             raise StateError(f"need 16 amplitudes, got {len(amps)}")
+        for a in amps:
+            # A Python complex would pass for exact and compute in floats.
+            if type(a) is not int and not isinstance(a, _AMPLITUDE_TYPES):
+                raise StateError(
+                    f"amplitude {a!r} is not an int, Fraction, float or GaussianRational"
+                )
         self.amps = amps
 
     def __getitem__(self, b: int):

@@ -25,7 +25,7 @@ t pair also sits at bits 32..39, so an operand must be base-only, and
 from __future__ import annotations
 
 from entatlas.catalog import build_catalog
-from entatlas.poly import _FIELD, _W, Polynomial, _diff_raw, _mul_raw, _scale_raw
+from entatlas.poly import _FIELD, _W, Polynomial, _mul_raw, _scale_raw
 from entatlas.qstate import State
 from entatlas.scalars import normalize_scalar
 
@@ -57,6 +57,17 @@ def _add_raw(a: dict, b: dict) -> dict:
             out[k] = s
         elif k in out:
             del out[k]
+    return out
+
+
+def _diff_raw(a: dict, index: int) -> dict:
+    """d/dx_index of a {key: coefficient} dict."""
+    shift = _W * index
+    out = {}
+    for k, c in a.items():
+        e = (k >> shift) & _FIELD
+        if e:
+            out[k - (1 << shift)] = c * e
     return out
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -31,11 +30,11 @@ from entatlas.qstate import (
     random_sl2_tuple,
     random_state,
 )
-from entatlas.poly import Polynomial, _diff_raw, _mul_raw, _scale_raw, x
+from entatlas.poly import _W, Polynomial, _mul_raw, _scale_raw, x
 from entatlas.scalars import GaussianRational
 
 from conftest import ket_state
-from omega_oracle import Poly, _add_raw, to_ground_form, transvect
+from omega_oracle import Poly, _add_raw, _diff_raw, to_ground_form, transvect
 
 
 def test_census(catalog):
@@ -76,7 +75,7 @@ def _defs_with_first_term_altered(catalog, name, alter):
         terms = d.terms
         if cid == target:
             terms = (alter(*terms[0]),) + terms[1:]
-        defs.append(dataclasses.replace(d, terms=terms))
+        defs.append(d._replace(terms=terms))
     return defs
 
 
@@ -135,8 +134,8 @@ def test_catalog_leaves_its_definitions_untouched(catalog):
     defs = [catalog.defs[cid] for cid in catalog.order]
     (coef, lhs, rhs, idx), = catalog.defs[target].terms
     assert coef == Fraction(1, 2)
-    defs[catalog.order.index(target)] = dataclasses.replace(
-        catalog.defs[target], terms=((Fraction(1, 3), lhs, rhs, idx),)
+    defs[catalog.order.index(target)] = catalog.defs[target]._replace(
+        terms=((Fraction(1, 3), lhs, rhs, idx),)
     )
     altered = Catalog(defs)
     assert altered.defs[target].lam == 3
@@ -407,10 +406,26 @@ def test_integer_scale_table(catalog):
 
 
 class _OracleSession(EvalSession):
-    """The kernel before integer scaling and shared derivative chains:
-    every selector differentiates rhs afresh and is added with a copying
-    ``_add_raw``, and every state sums the catalog's own ``Fraction``
-    coefficients."""
+    """The Omega expansion of (A, rhs)^idx taken literally, before integer
+    scaling and the per-site rule: every selector differentiates a slice of
+    A and rhs afresh, and its product is added with a copying ``_add_raw``;
+    every state sums the catalog's own ``Fraction`` coefficients."""
+
+    def _ground_slice(self, sel):
+        """The derivative of A given per site by ``sel``: 0 = untouched,
+        1 = d/dx_{k,0}, 2 = d/dx_{k,1}."""
+        free = [k for k in range(4) if sel[k] == 0]
+        terms = {}
+        for m in range(1 << len(free)):
+            b = sum(1 << k for k in range(4) if sel[k] == 2)
+            key = 0
+            for pos, k in enumerate(free):
+                bit = (m >> pos) & 1
+                b += bit << k
+                key += 1 << (_W * (2 * k + bit))
+            if self._amps[b]:
+                terms[key] = self._amps[b]
+        return terms
 
     def _transvect_ground(self, rhs, idx):
         sites = [k for k in range(4) if idx[k]]
@@ -485,6 +500,18 @@ def test_float_values_match_unscaled_oracle(catalog):
                 got, want = sess._value(cid), oracle._value(cid)
                 assert list(got.items()) == list(want.items()), (label, scale, cid)
     assert len(margins) > 100
+
+
+def test_float_derivative_rounds_site_by_site(catalog):
+    """The float branch multiplies a term's coefficient by its exponents one
+    index site at a time, as the literal expansion differentiates:
+    0.1 * 3 * 5 rounds to 1.5000000000000002, 0.1 * 15 to 1.5."""
+    s = State([1.0] + [0.0] * 15)
+    rhs = Polynomial.monomial(0.1, {x(1, 1): 3, x(2, 1): 5}).terms
+    got = catalog.session(s)._transvect_ground(rhs, (1, 1, 0, 0))
+    want = _OracleSession(catalog, s)._transvect_ground(rhs, (1, 1, 0, 0))
+    assert list(got.items()) == list(want.items())
+    assert list(got.values()) == [0.1 * 3 * 5] != [0.1 * 15]
 
 
 def test_exact_values_match_unscaled_oracle(catalog):

@@ -296,6 +296,18 @@ def test_float_and_gaussian_amplitudes_rejected():
             call(s)
 
 
+def test_complex_amplitudes_rejected():
+    """A Python ``complex`` amplitude is none of the four scalar kinds, so
+    ``State`` rejects it: form 59520 times 1j never reaches ``classify`` or
+    ``all_invariants``, while times the Gaussian i it classifies exactly."""
+    nf = decode_form(59520)
+    for call in (classify, all_invariants):
+        with pytest.raises(StateError, match="not an int, Fraction, float or GaussianRational"):
+            call(nf.scaled(1j))
+    result = classify(nf.scaled(GaussianRational(0, 1)))
+    assert (result.label, result.mode) == (59520, "exact")
+
+
 def _float_miss_images():
     """SL2^4 images of four normal forms whose float bits, decided at the
     absolute FLOAT_TOLERANCE, match no golden row; with their labels."""

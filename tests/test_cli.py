@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entatlas
 from entatlas.classify import classify
 from entatlas.cli import main
 from entatlas.invariants import all_invariants, inv_L
@@ -13,6 +18,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_introspection_modules():
+    """``import entatlas`` in a fresh interpreter loads none of
+    ``dataclasses``, ``inspect``, ``ast`` or ``dis``, nor OpenSSL through
+    ``hashlib``: each CLI run would pay their import time and memory."""
+    src = str(Path(entatlas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, entatlas; "
+        "entatlas.build_catalog(); "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', '_hashlib'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_classify_form(capsys):

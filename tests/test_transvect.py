@@ -1,8 +1,19 @@
+from fractions import Fraction
+
 import pytest
 
+from entatlas.atlas import _sparse_image
 from entatlas.catalog import CovariantId
 from entatlas.poly import t, x
-from entatlas.qstate import apply_local, random_sl2_tuple, random_state
+from entatlas.qstate import (
+    State,
+    apply_local,
+    cleared_amplitudes,
+    decode_form,
+    random_sl2_tuple,
+    random_state,
+)
+from entatlas.scalars import GaussianRational
 
 from conftest import ket_state
 from omega_oracle import (
@@ -94,16 +105,43 @@ def test_fast_agrees_on_higher_degree_operands(catalog):
         assert transvect(A, e, idx).terms == sess._transvect_ground(e.terms, idx)
 
 
+def _states_of_every_kind():
+    """(kind, state): int, ``Fraction``, Gaussian and float amplitudes, and
+    the sparse integer image the census evaluates for form 65257."""
+    i = GaussianRational(0, 1)
+    for seed in (22, 25):
+        yield "int", random_state(seed)
+    base = random_state(26).amps
+    yield "Fraction", State([Fraction(a, 1 + b % 3) for b, a in enumerate(base)])
+    yield "Gaussian", State([a + i * (b % 3 - 1) for b, a in enumerate(base)])
+    yield "float", State([a / 3 for a in base])
+    yield "sparse", State(_sparse_image(decode_form(65257).amps))
+
+
+def _assert_agree(got: dict, want: dict, approximate: bool, where):
+    """Equal dicts; on float states, equal up to 1e-9 of the largest
+    coefficient, since the literal process sums in another order."""
+    if not approximate:
+        assert got == want, where
+        return
+    size = max((abs(c) for c in want.values()), default=0.0)
+    for k in got.keys() | want.keys():
+        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-9 * size, (where, k)
+
+
 def test_ground_specialization_agrees(catalog):
     """The production kernel equals the literal Omega process on every
-    catalog term, evaluated on two random states."""
-    for seed in (22, 25):
-        sess = catalog.session(random_state(seed))
+    catalog term, on states of every scalar kind.  The kernel's ground form
+    is the one on the cleared amplitudes, so is the literal one."""
+    for kind, s in _states_of_every_kind():
+        sess = catalog.session(s)
+        A = to_ground_form(State(cleared_amplitudes(s)[1]))
         terms = 0
         for cid in catalog.order:
             for coef, lhs, rhs, idx in catalog.defs[cid].terms:
-                lit = transvect(sess.eval(lhs), sess.eval(rhs), idx)
-                assert sess._transvect_ground(sess.eval(rhs).terms, idx) == lit.terms, (cid, idx)
+                X = sess.eval(rhs)
+                got = sess._transvect_ground(X.terms, idx)
+                _assert_agree(got, transvect(A, X, idx).terms, kind == "float", (kind, cid, idx))
                 terms += 1
         assert terms == 293
 
