@@ -53,6 +53,11 @@ class VariableId(namedtuple("VariableId", "site component")):
             raise ValueError(f"component must be 0 or 1, got {component}")
         return super().__new__(cls, site, component)
 
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: both check the range too.
+        return cls(*iterable)
+
     @property
     def index(self) -> int:
         if self.site == 0:

@@ -121,6 +121,11 @@ def test_variable_ids():
         VariableId(5, 0)
     with pytest.raises(ValueError):
         VariableId(1, 2)
+    with pytest.raises(ValueError):
+        x(1, 0)._replace(site=9)
+    with pytest.raises(ValueError):
+        VariableId._make((1, 2))
+    assert x(1, 0)._replace(component=1) == x(1, 1)
 
 
 def test_gaussian_coefficients():
