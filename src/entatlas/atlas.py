@@ -253,10 +253,10 @@ class AdherenceGraph(namedtuple("AdherenceGraph", "nodes edges")):
     __slots__ = ()
 
 
-def adherence_order(table: ClassTable, restrict_to=None, drop_caveats: bool = False) -> AdherenceGraph:
-    """Covers of the partial order "lower's nonzero set inside upper's".
+def adherence_order(table: ClassTable, drop_caveats: bool = False) -> AdherenceGraph:
+    """Covers of the partial order "lower's nonzero set inside upper's",
+    on the representatives of ``table``.
 
-    ``restrict_to`` induces the subposet on the given representative labels.
     Edges between the second-derivative class 59510 and the join classes it
     does not actually contain are flagged (caveat=True): the order reports
     adherence of signatures there, not inclusion of varieties.  With
@@ -264,9 +264,6 @@ def adherence_order(table: ClassTable, restrict_to=None, drop_caveats: bool = Fa
     which yields the geometry-vetted diagrams of the printed figures.
     """
     sigs = {rep: sig for sig, rep in table.representatives.items()}
-    if restrict_to is not None:
-        keep = set(restrict_to)
-        sigs = {rep: sig for rep, sig in sigs.items() if rep in keep}
     nodes = sorted(sigs)
 
     def leq(a, b):  # a below b

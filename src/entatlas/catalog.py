@@ -54,14 +54,14 @@ permutations.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 from math import gcd, lcm
 
 from .poly import _FIELD, _W, Polynomial, _mul_raw, _scale_raw
-from .qstate import State, cleared_amplitudes
+from .qstate import State
 from .scalars import exact_quotient, normalize_scalar
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
@@ -258,8 +258,10 @@ class Catalog:
         return self.session(state).vector_W()
 
 
-def _load_text() -> str:
-    return resources.files("entatlas.data").joinpath("covariants.txt").read_text()
+def _read_data(name: str) -> str:
+    """The text of ``data/<name>`` next to this module (not in a zip)."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
 _cached = None
@@ -271,7 +273,7 @@ def build_catalog() -> Catalog:
     global _cached
     if _cached is not None:
         return _cached
-    text = _load_text()
+    text = _read_data("covariants.txt")
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != CATALOG_SHA256:
         raise CatalogError(
@@ -359,8 +361,9 @@ class EvalSession:
 
     Cleared denominators: on a state whose amplitudes are all rational
     (``int`` or ``Fraction``), the session evaluates the catalog on the
-    integer amplitudes q*A, q the lcm of their denominators
-    (``qstate.cleared_amplitudes``).  This is exact.  Every covariant C is
+    integer amplitudes q*A, q the lcm of their denominators, which the
+    state computed when it was built (``State.scale`` and
+    ``State.cleared``).  This is exact.  Every covariant C is
     homogeneous of degree ``adeg`` in the amplitudes: a term (A, X)^idx is
     bilinear in A and X, and ``Catalog._validate`` checks at load that all
     terms of an entry have the same degree, so by induction over the DAG
@@ -393,10 +396,9 @@ class EvalSession:
 
     def __init__(self, catalog: Catalog, state: State):
         self.catalog = catalog
-        self.float_mode = any(isinstance(a, float) for a in state.amps)
-        q, amps = cleared_amplitudes(state)
-        self.scale = q
-        self._amps = amps
+        self.float_mode = state.float_mode
+        self.scale = state.scale
+        self._amps = state.cleared
         self._selectors = {}
         # With no index site, the one selector's group is the ground form
         # itself, in increasing b.

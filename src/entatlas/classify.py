@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 
-from .catalog import T_IDS, VPRIME_IDS, EvalSession, build_catalog
+from .catalog import T_IDS, VPRIME_IDS, EvalSession, _read_data, build_catalog
 from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z, invariant_nonzero, is_nilpotent
 from .qstate import _SITE_PAIRS, State, StateError, _act_on_site, _tensor, check_nonzero, decode_form
 from .scalars import GaussianRational, exact_quotient
@@ -37,7 +36,7 @@ class IntegrityError(Exception):
 
 
 def _load_json(name):
-    return json.loads(resources.files("entatlas.data").joinpath(name).read_text())
+    return json.loads(_read_data(name))
 
 
 class OrbitRecord:

@@ -40,8 +40,8 @@ R(t) = det Hess_x(b_xt) = 4 m0(t) m2(t) - m1(t)^2.
 Cleared denominators.  B, L, M, N, the Gram entries, D_uv and R are
 homogeneous in the amplitudes, of degree 2, 4, 4, 4, 2, 6 and 4.  On a
 state with rational amplitudes each is computed on the integers q*a
-(``qstate.cleared_amplitudes``) and divided once by q^degree:
-f(a) = f(q a) / q^deg.
+that the state holds (``State.cleared``, q = ``State.scale``) and divided
+once by q^degree: f(a) = f(q a) / q^deg.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from math import comb
 
 from .catalog import FLOAT_TOLERANCE, CovariantId, build_catalog
 from .poly import Polynomial, _monomial_key, t as t_var, x as x_var
-from .qstate import State, check_nonzero, cleared_amplitudes
+from .qstate import State, check_nonzero
 from .scalars import exact_quotient, normalize_scalar
 
 SITE_OF = {"x": 1, "y": 2, "z": 3, "t": 4}
@@ -148,8 +148,8 @@ def _det4(m):
 
 
 def _quartic_det(s: State, name: str):
-    q, amps = cleared_amplitudes(s)
-    return _over(_det4([[amps[i] for i in row] for row in _FLAT[name]]), q ** 4)
+    amps = s.cleared
+    return _over(_det4([[amps[i] for i in row] for row in _FLAT[name]]), s.scale ** 4)
 
 
 def inv_L(s: State):
@@ -166,32 +166,30 @@ def inv_N(s: State):
 
 def inv_B(s: State):
     """The quadratic invariant as the signed pairing sum_I (-1)^|I| a_I a_Ibar / 2."""
-    q, amps = cleared_amplitudes(s)
+    amps = s.cleared
     total = 0
     for b, sign in _B_SIGNS:
         a = amps[b]
         if a:
             total = total + sign * a * amps[15 - b]
-    return _over(total, 2 * q * q)
+    return _over(total, 2 * s.scale ** 2)
 
 
 def inv_D(s: State, pair: str = "xy"):
     """The degree-6 invariant D_uv = det of the 3x3 Gram matrix of b_uv."""
-    q, amps = cleared_amplitudes(s)
-    return _over(_det3(_gram(amps, pair)), q ** 6)
+    return _over(_det3(_gram(s.cleared, pair)), s.scale ** 6)
 
 
 def quartic_coeffs(s: State):
     """Binomial coefficients (c0..c4) of R(t) = det Hess_x(b_xt), so that
     R = sum comb(4,i) c_i t0^(4-i) t1^i in the site-4 variables."""
-    q, amps = cleared_amplitudes(s)
-    m0, m1, m2 = _gram(amps, "xt")
+    m0, m1, m2 = _gram(s.cleared, "xt")
     r = [0] * 5
     for i in range(3):
         for j in range(3):
             r[i + j] = r[i + j] + 4 * m0[i] * m2[j] - m1[i] * m1[j]
     # Built from a list, as in qstate.State.__init__.
-    return tuple([_over(r[i], comb(4, i) * q ** 4) for i in range(5)])
+    return tuple([_over(r[i], comb(4, i) * s.scale ** 4) for i in range(5)])
 
 
 def quartic_S_T(cs):

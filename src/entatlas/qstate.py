@@ -21,9 +21,6 @@ class StateError(Exception):
     pass
 
 
-_AMPLITUDE_TYPES = (int, Fraction, float, GaussianRational)
-
-
 def _bits(b: int):
     return (b & 1, (b >> 1) & 1, (b >> 2) & 1, (b >> 3) & 1)
 
@@ -33,9 +30,13 @@ def _index(i1, i2, i3, i4) -> int:
 
 
 class State:
-    """16 amplitudes of a 4-qubit state, indexed by b = i1+2*i2+4*i3+8*i4."""
+    """16 amplitudes of a 4-qubit state, indexed by b = i1+2*i2+4*i3+8*i4,
+    cleared once, when built: ``scale`` is q, the lcm of the ``Fraction``
+    denominators, and ``cleared`` the integers q*a (``amps`` itself if q is
+    1 or an amplitude is a float or a Gaussian rational, two kinds that
+    cannot mix).  ``float_mode`` is set when an amplitude is a float."""
 
-    __slots__ = ("amps",)
+    __slots__ = ("amps", "scale", "cleared", "float_mode")
 
     def __init__(self, amplitudes):
         # A list first: a tuple built from a generator grows by resizing, so
@@ -45,13 +46,34 @@ class State:
         amps = tuple([normalize_scalar(a) for a in amplitudes])
         if len(amps) != 16:
             raise StateError(f"need 16 amplitudes, got {len(amps)}")
+        q = 1
+        floats = gaussian = False
         for a in amps:
-            # A Python complex would pass for exact and compute in floats.
-            if type(a) is not int and not isinstance(a, _AMPLITUDE_TYPES):
+            if type(a) is int:
+                continue
+            if isinstance(a, Fraction):
+                q = lcm(q, a.denominator)
+            elif isinstance(a, float):
+                floats = True
+            elif isinstance(a, GaussianRational):
+                gaussian = True
+            # Bools pass as ints; a Python complex would compute in floats.
+            elif not isinstance(a, int):
                 raise StateError(
                     f"amplitude {a!r} is not an int, Fraction, float or GaussianRational"
                 )
+        if floats and gaussian:
+            raise StateError("float mode does not support complex amplitudes")
         self.amps = amps
+        self.float_mode = floats
+        if q == 1 or floats or gaussian:
+            self.scale, self.cleared = 1, amps
+        else:
+            self.scale = q
+            self.cleared = tuple([
+                a * q if isinstance(a, int) else a.numerator * (q // a.denominator)
+                for a in amps
+            ])
 
     def __getitem__(self, b: int):
         return self.amps[b]
@@ -138,29 +160,6 @@ def _fraction(p) -> Fraction:
     if den == 0:
         raise StateError(f"amplitude entry {p!r} has denominator 0")
     return Fraction(num, den)
-
-
-def cleared_amplitudes(s: State):
-    """(q, q*a): for a rational state q is the lcm of the amplitudes'
-    denominators and q*a the tuple of integer amplitudes; a state with a
-    float or Gaussian-rational amplitude gives (1, a), and one with both
-    raises ``StateError``."""
-    q = 1
-    for a in s.amps:
-        if not isinstance(a, int):
-            if not isinstance(a, Fraction):
-                other = GaussianRational if isinstance(a, float) else float
-                if any(isinstance(x, other) for x in s.amps):
-                    raise StateError("float mode does not support complex amplitudes")
-                return 1, s.amps
-            q = lcm(q, a.denominator)
-    if q == 1:
-        return 1, s.amps
-    # Built from a list, as in State.__init__.
-    return q, tuple([
-        a * q if isinstance(a, int) else a.numerator * (q // a.denominator)
-        for a in s.amps
-    ])
 
 
 def check_nonzero(s: State) -> State:

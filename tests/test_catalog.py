@@ -234,7 +234,7 @@ def test_cleared_denominators_match_literal_evaluation(catalog, q):
     amps[0] = Fraction(1, q)
     s = State(amps)
     sess = catalog.session(s)
-    assert sess.scale == q
+    assert sess.scale == s.scale == q
     literal = _literal_values(catalog, s)
     nonzero = 0
     for cid in catalog.order:

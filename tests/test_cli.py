@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -21,19 +22,18 @@ def run(capsys, *argv):
 
 
 def test_import_loads_no_introspection_modules():
-    """``import entatlas`` in a fresh interpreter does not load
-    ``dataclasses``, and before Python 3.12 none of ``inspect``, ``ast`` or
-    ``dis`` either: each CLI run would pay their import time and memory.
-    From 3.12 on, ``importlib.resources`` (which reads the package data)
-    imports ``inspect`` itself, and ``inspect`` loads ``ast`` and ``dis``."""
-    banned = {"dataclasses"}
-    if sys.version_info < (3, 12):
-        banned |= {"inspect", "ast", "dis"}
+    """``import entatlas``, loading the catalog and reading every golden
+    table in a fresh interpreter load none of ``dataclasses``, ``inspect``,
+    ``ast`` or ``dis``: each CLI run would pay their import time and memory.
+    The package data is read next to the modules, not through
+    ``importlib.resources``, which imports ``inspect`` from Python 3.12 on."""
+    banned = {"dataclasses", "inspect", "ast", "dis"}
     src = str(Path(entatlas.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, entatlas; "
-        "entatlas.build_catalog(); "
+        "entatlas.build_catalog(); entatlas.classify(entatlas.decode_form(59520)); "
+        "entatlas.orbit_records(); entatlas.permutation_type(59520); "
         f"print(sorted({sorted(banned)!r} & sys.modules.keys()))"
     )
     done = subprocess.run(
@@ -204,16 +204,28 @@ C_3111_ON_FRACTIONS = (
 )
 
 
+def _fraction_state_json() -> str:
+    """The state |0000>/2 + |1100> + |0011>/3 + |1111> as JSON."""
+    amps = [[0, 1]] * 16
+    amps[0], amps[3], amps[12], amps[15] = [1, 2], [1, 1], [1, 3], [1, 1]
+    return json.dumps({"amplitudes": amps})
+
+
+def _gaussian_state():
+    """(1+i) times an SL2^4 image of the 65529 normal form under shears by i."""
+    i_shear = ((1, GaussianRational(0, 1)), (0, 1))
+    g = LocalOperator(i_shear, i_shear, ((1, 0), (1, 1)), i_shear)
+    return apply_local(g, decode_form(65529)).scaled(GaussianRational(1, 1))
+
+
 def test_eval_command(capsys, tmp_path):
     """The printed polynomial is pinned term by term, in graded-lex order,
     with integer and Fraction coefficients."""
     code, out, _ = run(capsys, "eval", "--covariant", "L_6000", "--form", "65218")
     assert code == 0
     assert out == L_6000_ON_65218
-    amps = [[0, 1]] * 16
-    amps[0], amps[3], amps[12], amps[15] = [1, 2], [1, 1], [1, 3], [1, 1]
     path = tmp_path / "state.json"
-    path.write_text(json.dumps({"amplitudes": amps}))
+    path.write_text(_fraction_state_json())
     code, out, _ = run(capsys, "eval", "--covariant", "C_3111", "--in", str(path))
     assert code == 0
     assert out == C_3111_ON_FRACTIONS
@@ -264,9 +276,7 @@ def test_complex_state_classify_and_invariants(tmp_path, capsys):
     """An ``amplitudes_c`` state: (1+i) times an SL2^4 image of the 65529
     normal form under shears by i.  Its B is not real, so Z needs B**3 of a
     Gaussian rational."""
-    i_shear = ((1, GaussianRational(0, 1)), (0, 1))
-    g = LocalOperator(i_shear, i_shear, ((1, 0), (1, 1)), i_shear)
-    s = apply_local(g, decode_form(65529)).scaled(GaussianRational(1, 1))
+    s = _gaussian_state()
     assert any(isinstance(a, GaussianRational) for a in s.amps)
     path = tmp_path / "state.json"
     path.write_text(s.to_json())
@@ -282,3 +292,47 @@ def test_complex_state_classify_and_invariants(tmp_path, capsys):
     doc = json.loads(out)
     assert doc == {k: str(v) for k, v in all_invariants(s, pairs=True).items()}
     assert "i" in doc["B"] and "i" in doc["Z"]
+
+
+# sha256 of the stdout of ``entatlas <command> --in <state> --mode <mode>``,
+# recorded before states held their own cleared amplitudes: each state's
+# sextic L_6000, its degree-11 K_5111 (lam 6, so eval divides by 6 q^11)
+# and all of its invariants.  L_6000 vanishes on the first two states.
+_CLI_PINS = {
+    ("gaussian", "eval --covariant L_6000"):
+        "d7132954d82ee02f8a4bcf48510313723992872442c2329aef8cf10aeb0145ea",
+    ("gaussian", "eval --covariant K_5111"):
+        "2d89d7c59d3553c5c2dedf696c175a3a92e6ec80eb4e2417265a5a3d65874825",
+    ("gaussian", "invariants --pairs"):
+        "b922c408e98dcac011497871d27d64239a49b886bac785126c2d757a067b7158",
+    ("fractions", "eval --covariant L_6000"):
+        "d7132954d82ee02f8a4bcf48510313723992872442c2329aef8cf10aeb0145ea",
+    ("fractions", "eval --covariant K_5111"):
+        "f1cb870997ca7986a768be397d04bd23002e2af71695e5d181e51af6afd0950f",
+    ("fractions", "invariants --pairs"):
+        "639b64363b68386ffb5dc5c5af61ea2238dcacc14053946f3d58630b0189afaa",
+    ("float", "eval --covariant L_6000"):
+        "487b69c86d664744eec2ad6c324958d228773b0fed0eed0ddffe1dae84b7bc5b",
+    ("float", "eval --covariant K_5111"):
+        "bbf44d67e77db92773e3ae963a808cae0d1e2e346dfbb307fd7e7973bc3502cb",
+    ("float", "invariants --pairs"):
+        "379368821faf7e87a84d23f8bbfd1014e5d80a061109f7601456de6069dd4e99",
+}
+
+
+def test_eval_and_invariants_output_pinned(capsys, tmp_path):
+    """``eval`` and ``invariants --pairs`` print the recorded text on a
+    Gaussian state, on the Fraction state of ``test_eval_command`` and, in
+    float mode, on the SL2^4 image that the float oracle tests use."""
+    states = {
+        "gaussian": (_gaussian_state().to_json(), "exact"),
+        "fractions": (_fraction_state_json(), "exact"),
+        "float": (apply_local(random_sl2_tuple(6525700), decode_form(65257)).to_json(), "float"),
+    }
+    for (name, command), want in _CLI_PINS.items():
+        text, mode = states[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *command.split(), "--in", str(path), "--mode", mode)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (name, command, out)

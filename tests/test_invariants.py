@@ -36,7 +36,6 @@ from entatlas.qstate import (
     State,
     StateError,
     apply_local,
-    cleared_amplitudes,
     decode_form,
     random_sl2_tuple,
     random_state,
@@ -99,9 +98,8 @@ def _table_and_oracle(s: State):
     """(table route, b_form route) for the six Gram matrices, the six D_uv
     and the quartic, each flattened to one list of scalars."""
     table, oracle = [], []
-    q, amps = cleared_amplitudes(s)
     for pair in PAIRS:
-        table += [_over(c, q * q) for row in _gram(amps, pair) for c in row]
+        table += [_over(c, s.scale ** 2) for row in _gram(s.cleared, pair) for c in row]
         m = _gram_via_b_form(s, pair)
         oracle += [c for row in m for c in row]
         table.append(inv_D(s, pair))
@@ -194,7 +192,7 @@ def test_flattening_tables_match_site_assembly():
     floats = [State([float(a) * 0.37 for a in s.amps]) for s in ints + fracs]
     seen_nonzero = [False] * 4
     for s in ints + fracs + gauss + floats:
-        q, amps = cleared_amplitudes(s)
+        q, amps = s.scale, s.cleared
         want = [_over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
         want.append(_over(_pairing(amps), 2 * q * q))
         got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s)]

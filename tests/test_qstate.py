@@ -13,7 +13,6 @@ from entatlas.qstate import (
     StateError,
     _bits,
     apply_local,
-    cleared_amplitudes,
     decode_form,
     encode_form,
     permute_qubits,
@@ -220,12 +219,19 @@ def test_json_malformed():
 
 
 def test_cleared_amplitudes():
-    s = State([Fraction(1, 2), Fraction(-2, 3), 5] + [0] * 13)
-    assert cleared_amplitudes(s) == (6, (3, -4, 30) + (0,) * 13)
-    ints = random_state(1)
-    assert cleared_amplitudes(ints) == (1, ints.amps)
-    for s in (State([0.5] + [0] * 15), State([GaussianRational(1, 1)] + [0] * 15)):
-        assert cleared_amplitudes(s) == (1, s.amps)
+    """A state is cleared when built: a Fraction state holds q, the lcm of
+    its denominators, and the integers q*a; every other state holds
+    ``scale`` 1 and its own amplitude tuple."""
+    s = State([Fraction(1, 2), Fraction(-2, 3), 5, True] + [0] * 12)
+    assert (s.scale, s.cleared, s.float_mode) == (6, (3, -4, 30, 6) + (0,) * 12, False)
+    assert all(type(a) is int for a in s.cleared)
+    bools = State([True, False] * 8)
+    gauss = State([GaussianRational(1, 1), Fraction(1, 2)] + [0] * 14)
+    floats = State([0.5, Fraction(1, 3)] + [0] * 14)
+    for s in (random_state(1), bools, gauss, floats):
+        assert s.scale == 1 and s.cleared is s.amps
+        assert s.float_mode is (s is floats)
+    assert [type(a) for a in bools.amps[:2]] == [bool, bool]
 
 
 def test_permute_form():
