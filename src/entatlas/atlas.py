@@ -28,7 +28,7 @@ from collections import namedtuple
 from .catalog import EXTENDED_T_IDS, T_IDS, VPRIME_IDS, build_catalog, split_T
 from .classify import GOLDEN, IntegrityError
 from .invariants import inv_B, inv_D, inv_L, inv_M
-from .qstate import _SITE_PAIRS, State, check_form, decode_form
+from .qstate import State, _sparse_image, check_form, decode_form
 
 _GR3PP = frozenset({65267, 65509, 65507, 65269, 65510, 65231})
 
@@ -130,45 +130,6 @@ def _signature_worker(args):
         s = State(amps)
         out.append((amps, _invariant_bits(s) + cat.signature(s, ids)))
     return out
-
-
-# The shears of the reduction: on each site, add or subtract the x_{k,1}
-# slice into the x_{k,0} slice, or the reverse, as (target, source) index
-# pairs of the changed slice.
-_SHEARS = tuple(
-    shear for pairs in _SITE_PAIRS for shear in (pairs, tuple((s, t) for t, s in pairs))
-)
-_FLIP_PERMS = tuple(tuple(b ^ m for b in range(16)) for m in range(16))
-
-
-def _sparse_image(amps) -> tuple:
-    """A sparse integer image of the state under SL2(Z)^4, keyed by flips.
-
-    Greedy descent on (nonzero count, sum of |a|): of the 16 moves
-    ``a[t] += c * a[s]`` for (t, s) in one shear slice and c = +-1, take the
-    first best one that strictly lowers that pair, until none does; the pair
-    lies in N x N, so this stops.  The result is the least of its 16 bit-flip
-    images.  Each move is the site matrix [[1, c], [0, 1]] or
-    [[1, 0], [c, 1]], of det 1, and each flip has det -1.
-    """
-    a = list(amps)
-    while True:
-        best = None
-        for pairs in _SHEARS:
-            for c in (1, -1):
-                dn = ds = 0
-                for t, s in pairs:
-                    old, new = a[t], a[t] + c * a[s]
-                    dn += (new != 0) - (old != 0)
-                    ds += abs(new) - abs(old)
-                if (dn, ds) < (0, 0) and (best is None or (dn, ds) < best[0]):
-                    best = ((dn, ds), pairs, c)
-        if best is None:
-            break
-        _, pairs, c = best
-        for t, s in pairs:
-            a[t] += c * a[s]
-    return min(tuple([a[b] for b in perm]) for perm in _FLIP_PERMS)
 
 
 def _pool_size(processes):

@@ -25,9 +25,10 @@ The ground form is multilinear, so each of its amplitudes meets Omega at
 an index site in one way only (the per-site rule, proved there): the
 kernel groups the amplitudes by their bits on the index sites, takes for
 each group the one derivative of rhs it needs, read off the exponents in
-the keys, and adds its products with the group's amplitudes.  The tests
-pin it against the literal Omega process, which they keep as an oracle
-(``tests/omega_oracle.py``), on every scalar kind.
+the keys, and adds its products with the group's amplitudes straight
+into the covariant's one sum.  The tests pin it against the literal Omega
+process, which they keep as an oracle (``tests/omega_oracle.py``), on
+every scalar kind.
 The kernel trusts the load-time checks and repeats none of them; the one
 check left at evaluation runs once per covariant, where its value is
 memoized (``EvalSession._value``): the value is multihomogeneous of the
@@ -60,9 +61,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import _FIELD, _W, Polynomial, _mul_raw, _scale_raw
+from .poly import _FIELD, _W, Polynomial
 from .qstate import State
-from .scalars import exact_quotient, normalize_scalar
+from .scalars import exact_quotient
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
@@ -289,31 +290,41 @@ def build_catalog() -> Catalog:
     return _cached
 
 
-def _accumulate(acc: dict, terms: dict, negate=False) -> dict:
-    """acc + terms (acc - terms if ``negate``), updating acc in place.
+def _mul_raw(a: dict, b: dict) -> dict:
+    """The product of two {key: coefficient} dicts, with no check of the
+    exponent bound: the catalog's site degrees are at most 6, so its keys
+    stay in range."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+    return out
+
+
+def _add_scaled(acc: dict, terms: dict, c) -> dict:
+    """acc + c * terms, updating acc in place; the float kernels' one sum.
 
     Keys are met in the order of ``terms`` and a key whose sum is zero is
-    dropped, so the result has the values and key order of a sum into a
-    copy of acc, without the copy.  An empty acc is not added into:
-    ``terms`` (negated if asked) is the result, so the caller hands over a
-    dict it no longer uses."""
-    if not acc:
-        return {k: -c for k, c in terms.items()} if negate else terms
+    dropped, so the result has the values and key order of scaling a copy
+    of ``terms`` by c, dropping its zeros, and adding it into acc.  On
+    floats, c = 1 and c = -1 change no rounding."""
     get = acc.get
-    if negate:
-        for k, c in terms.items():
-            s = get(k, 0) - c
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
-    else:
-        for k, c in terms.items():
-            s = get(k, 0) + c
-            if s:
-                acc[k] = s
-            elif k in acc:
-                del acc[k]
+    for k, v in terms.items():
+        s = get(k, 0) + v * c
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
     return acc
 
 
@@ -382,9 +393,11 @@ class EvalSession:
     integer amplitudes each value has integer coefficients, by the same
     induction: A does, the kernel only differentiates (multiplying by an
     exponent), multiplies, adds and negates, and each k_t is an integer.
-    Nullity bits and signatures read these values directly, since a
-    nonzero scale changes no zero test; ``eval`` divides by
-    lam_C * q^adeg.
+    On this catalog every k_t is +1 or -1, so each exact value is a signed
+    sum of its terms, added straight into one dict per covariant; the sums
+    that cancel are dropped once, in ``_value``.  Nullity bits and
+    signatures read these values directly, since a nonzero scale changes
+    no zero test; ``eval`` divides by lam_C * q^adeg.
 
     Float states are not scaled: they sum the catalog's own coefficients.
     ``_bit`` compares magnitudes with the absolute ``FLOAT_TOLERANCE``, so
@@ -426,8 +439,9 @@ class EvalSession:
         selectors = self._selectors[idx] = [(shifts[sel], group) for sel, group in groups.items()]
         return selectors
 
-    def _transvect_ground(self, rhs: dict, idx) -> dict:
-        """(A, rhs)^idx with idx in {0,1}^4, by the per-site rule.
+    def _transvect_ground(self, acc: dict, rhs: dict, idx, coef) -> dict:
+        """acc + coef * (A, rhs)^idx with idx in {0,1}^4, by the per-site
+        rule, updating acc in place.
 
         A is the session's ground form, the one on the cleared amplitudes.
         The caller guarantees what ``Catalog._validate`` proves for every
@@ -454,19 +468,20 @@ class EvalSession:
         order, the derivative of rhs multiplies each c by its exponents one
         index site at a time, in increasing k, and drops the terms with a
         zero exponent.  Exact states (int, cleared ``Fraction``, Gaussian)
-        add every product straight into one dict and drop the cancelled
-        sums at the end; the float path would give them the same values,
-        at 11-13% less bench throughput on every workload (``BENCH_20.json``,
-        ``fork_check``).  Float states must keep the literal expansion's
-        sums: increasing selector is the expansion's order, the site by site
-        products are its derivative's roundings, and the selector's product
-        is formed by ``poly._mul_raw`` and added with ``_accumulate``, as the
-        expansion's own product and sum were.  Each float value then has the
-        roundings, key order and dropped zeros of the literal expansion; a
-        signed amplitude changes no rounding, because IEEE products and sums
-        are symmetric in sign."""
+        add every coef * a * c straight into acc, where coef, an integer
+        term coefficient, is +1 or -1; a sum that cancels stays in acc as
+        a zero until ``_value`` drops it, once per covariant.  Float states
+        must keep the literal expansion's sums: increasing selector is the
+        expansion's order, the site by site products are its derivative's
+        roundings, each selector's product is formed by ``_mul_raw`` and
+        summed by ``_add_scaled`` into the term, and the term, scaled by
+        the catalog's coefficient, is added into acc by ``_add_scaled``, as
+        the expansion's own products and sums were.  Each float value then
+        has the roundings, key order and dropped zeros of the literal
+        expansion; a signed amplitude changes no rounding, because IEEE
+        products and sums are symmetric in sign."""
         float_mode = self.float_mode
-        acc = {}
+        term = {} if float_mode else acc
         get = acc.get
         for shifts, group in self._selectors_of(idx):
             derivative = {}
@@ -481,35 +496,35 @@ class EvalSession:
             if not derivative:
                 continue
             if float_mode:
-                acc = _accumulate(acc, _mul_raw(group, derivative))
+                _add_scaled(term, _mul_raw(group, derivative), 1)
                 continue
             for offset, a in group.items():
+                a = coef * a
                 for key, c in derivative.items():
                     k = key + offset
                     acc[k] = get(k, 0) + a * c
-        if not float_mode and 0 in acc.values():
-            return {k: c for k, c in acc.items() if c}
-        return acc
+        return _add_scaled(acc, term, coef) if float_mode else acc
 
     def eval(self, cid) -> Polynomial:
-        """The covariant ``cid`` on the session's state."""
+        """The covariant ``cid`` on the session's state, in a new dict (the
+        memo is not handed out)."""
         if isinstance(cid, str):
             cid = CovariantId.parse(cid)
         value = self._value(cid)
         d = self.catalog.defs[cid]
         div = self.scale ** d.adeg * (1 if self.float_mode else d.lam)
-        if div == 1 or not value:
-            return Polynomial(dict(value))  # a copy: callers must not edit the memo
-        return Polynomial({k: normalize_scalar(exact_quotient(c, div)) for k, c in value.items()})
+        return Polynomial({k: exact_quotient(c, div) for k, c in value.items()})
 
     def _value(self, cid) -> dict:
         """The memoized terms of covariant ``cid`` on the cleared amplitudes:
         lam_C times the covariant on exact states, the covariant itself on
         float states (see the class docstring).
 
-        The kernel repeats none of the load-time checks, so this is the one
-        place a value is checked: once per covariant, a nonzero value must
-        be multihomogeneous of the declared multidegree."""
+        Every term adds into one dict (``_transvect_ground``), and the sums
+        that cancelled are dropped here, once per covariant.  The kernel
+        repeats none of the load-time checks, so this is the one place a
+        value is checked: once per covariant, a nonzero value must be
+        multihomogeneous of the declared multidegree."""
         value = self._values.get(cid)
         if value is not None:
             return value
@@ -520,10 +535,9 @@ class EvalSession:
         coefs = [t[0] for t in d.terms] if self.float_mode else d.int_coefs
         # validated: every term is (A, rhs)^idx
         for coef, (_, _, rhs, idx) in zip(coefs, d.terms):
-            tv = self._transvect_ground(self._value(rhs), idx)
-            if coef != 1 and coef != -1:
-                tv = _scale_raw(tv, coef)
-            value = _accumulate(value, tv, coef == -1)
+            value = self._transvect_ground(value, self._value(rhs), idx, coef)
+        if 0 in value.values():
+            value = {k: c for k, c in value.items() if c}
         if value:
             md = Polynomial(value).multidegree()
             if md != cid.multidegree:

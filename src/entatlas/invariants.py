@@ -101,13 +101,6 @@ _FLAT = {name: _flat_table(*split) for name, split in _DET_SPLITS.items()}
 _B_SIGNS = tuple((b, -1 if bin(b).count("1") & 1 else 1) for b in range(16))
 
 
-def _over(v, d):
-    """v / d as the simplest exact scalar (v is an int on cleared states)."""
-    if d == 1:
-        return normalize_scalar(v)
-    return normalize_scalar(exact_quotient(v, d))
-
-
 def _gram(amps, pair: str):
     """The 3x3 Gram matrix of b_uv on the amplitudes ``amps``."""
     table = _GRAM.get(pair)
@@ -149,7 +142,7 @@ def _det4(m):
 
 def _quartic_det(s: State, name: str):
     amps = s.cleared
-    return _over(_det4([[amps[i] for i in row] for row in _FLAT[name]]), s.scale ** 4)
+    return exact_quotient(_det4([[amps[i] for i in row] for row in _FLAT[name]]), s.scale ** 4)
 
 
 def inv_L(s: State):
@@ -172,12 +165,12 @@ def inv_B(s: State):
         a = amps[b]
         if a:
             total = total + sign * a * amps[15 - b]
-    return _over(total, 2 * s.scale ** 2)
+    return exact_quotient(total, 2 * s.scale ** 2)
 
 
 def inv_D(s: State, pair: str = "xy"):
     """The degree-6 invariant D_uv = det of the 3x3 Gram matrix of b_uv."""
-    return _over(_det3(_gram(s.cleared, pair)), s.scale ** 6)
+    return exact_quotient(_det3(_gram(s.cleared, pair)), s.scale ** 6)
 
 
 def quartic_coeffs(s: State):
@@ -189,7 +182,7 @@ def quartic_coeffs(s: State):
         for j in range(3):
             r[i + j] = r[i + j] + 4 * m0[i] * m2[j] - m1[i] * m1[j]
     # Built from a list, as in qstate.State.__init__.
-    return tuple([_over(r[i], comb(4, i) * s.scale ** 4) for i in range(5)])
+    return tuple([exact_quotient(r[i], comb(4, i) * s.scale ** 4) for i in range(5)])
 
 
 def quartic_S_T(cs):
@@ -218,7 +211,7 @@ def sextic_coeffs(s: State):
     """Binomial coefficients (d0..d6) of the evaluated sextic L_6000."""
     p = build_catalog().eval_covariant(_SEXTIC_ID, s)
     return tuple([
-        _over(p.coefficient(mono), comb(6, i)) for i, mono in enumerate(_SEXTIC_MONOMIALS)
+        exact_quotient(p.coefficient(mono), comb(6, i)) for i, mono in enumerate(_SEXTIC_MONOMIALS)
     ])
 
 
@@ -310,7 +303,7 @@ def verstraete_quartic(s: State) -> Polynomial:
 
 def verstraete_quartic_coeffs(s: State):
     """Binomial coefficients (c0..c4) of the assembled quartic."""
-    return tuple([_over(raw, comb(4, i)) for i, raw in enumerate(_verstraete_raw(s))])
+    return tuple([exact_quotient(raw, comb(4, i)) for i, raw in enumerate(_verstraete_raw(s))])
 
 
 def invariant_nonzero(value, s: State, degree: int) -> bool:

@@ -12,8 +12,8 @@ A monomial is stored as a single Python integer holding one 4-bit exponent
 field per variable (index v occupies bits 4v..4v+3), so an exponent of 16
 would carry into the next variable's field (``x1_0**16`` would read as
 ``x1_1``).  ``monomial`` and ``coefficient`` reject an exponent outside
-0..15 with ``ValueError``; the raw kernels below, which serve the catalog's
-evaluation kernel, are unchecked (see ``_mul_raw``).
+0..15 with ``ValueError``; the catalog's evaluation kernels, which own the
+raw dict arithmetic, are unchecked (see ``catalog._mul_raw``).
 A polynomial is a dict mapping monomial keys to nonzero coefficients; the
 zero polynomial is the empty dict.  Coefficients are ints when possible,
 otherwise Fraction or GaussianRational (or float in approximate mode).
@@ -78,45 +78,6 @@ def x(site: int, component: int) -> VariableId:
 
 def t(component: int) -> VariableId:
     return VariableId(0, component)
-
-
-# ---------------------------------------------------------------------------
-# Raw kernels on {key: coeff} dicts: ``catalog.EvalSession`` scales its
-# term values with ``_scale_raw``, and the float branch of its transvection
-# forms each selector's product with ``_mul_raw``.
-
-
-def _scale_raw(a: dict, c) -> dict:
-    if not c:
-        return {}
-    if c == 1:
-        return dict(a)
-    out = {}
-    for k, v in a.items():
-        s = normalize_scalar(v * c)
-        if s:
-            out[k] = s
-    return out
-
-
-def _mul_raw(a: dict, b: dict) -> dict:
-    """The product, with no check of the exponent bound: the catalog's site
-    degrees are at most 6, so its keys stay in range."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            s = get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
 
 
 def _monomial_key(exponents: dict) -> int:

@@ -5,6 +5,11 @@ b = i1 + 2*i2 + 4*i3 + 8*i4.  This index convention is frozen; every file
 format and CLI surface documents it.  States are treated projectively by
 the classifiers (global scale is ignored), so no normalization happens
 anywhere.
+
+Every one-site operation reads one table of site pairs (``_SITE_PAIRS``):
+the local action, the census's GL2^4 reduction to a sparse integer image
+(``_sparse_image``), and, in ``classify``, the Lie-algebra generators,
+separable factors and tangent spaces.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 from .scalars import GaussianRational, normalize_scalar
 
@@ -34,7 +39,8 @@ class State:
     cleared once, when built: ``scale`` is q, the lcm of the ``Fraction``
     denominators, and ``cleared`` the integers q*a (``amps`` itself if q is
     1 or an amplitude is a float or a Gaussian rational, two kinds that
-    cannot mix).  ``float_mode`` is set when an amplitude is a float."""
+    cannot mix).  ``float_mode`` is set when an amplitude is a float; a
+    float must be finite, since no nullity test can read NaN or inf."""
 
     __slots__ = ("amps", "scale", "cleared", "float_mode")
 
@@ -54,6 +60,8 @@ class State:
             if isinstance(a, Fraction):
                 q = lcm(q, a.denominator)
             elif isinstance(a, float):
+                if not isfinite(a):
+                    raise StateError(f"amplitude {a!r} is not finite")
                 floats = True
             elif isinstance(a, GaussianRational):
                 gaussian = True
@@ -253,6 +261,45 @@ def _act_on_site(amps: list, k: int, m) -> None:
         a0, a1 = amps[i], amps[j]
         amps[i] = m00 * a0 + m01 * a1
         amps[j] = m10 * a0 + m11 * a1
+
+
+# The shears of the census reduction (``atlas.signatures_for``): on each
+# site, add or subtract the x_{k,1} slice into the x_{k,0} slice, or the
+# reverse, as (target, source) index pairs of the changed slice.
+_SHEARS = tuple(
+    shear for pairs in _SITE_PAIRS for shear in (pairs, tuple((s, t) for t, s in pairs))
+)
+_FLIP_PERMS = tuple(tuple(b ^ m for b in range(16)) for m in range(16))
+
+
+def _sparse_image(amps) -> tuple:
+    """A sparse integer image of the state under SL2(Z)^4, keyed by flips.
+
+    Greedy descent on (nonzero count, sum of |a|): of the 16 moves
+    ``a[t] += c * a[s]`` for (t, s) in one shear slice and c = +-1, take the
+    first best one that strictly lowers that pair, until none does; the pair
+    lies in N x N, so this stops.  The result is the least of its 16 bit-flip
+    images.  Each move is the site matrix [[1, c], [0, 1]] or
+    [[1, 0], [c, 1]], of det 1, and each flip has det -1.
+    """
+    a = list(amps)
+    while True:
+        best = None
+        for pairs in _SHEARS:
+            for c in (1, -1):
+                dn = ds = 0
+                for t, s in pairs:
+                    old, new = a[t], a[t] + c * a[s]
+                    dn += (new != 0) - (old != 0)
+                    ds += abs(new) - abs(old)
+                if (dn, ds) < (0, 0) and (best is None or (dn, ds) < best[0]):
+                    best = ((dn, ds), pairs, c)
+        if best is None:
+            break
+        _, pairs, c = best
+        for t, s in pairs:
+            a[t] += c * a[s]
+    return min(tuple([a[b] for b in perm]) for perm in _FLIP_PERMS)
 
 
 def _tensor(vectors) -> list:

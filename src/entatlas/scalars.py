@@ -122,11 +122,14 @@ def normalize_scalar(c):
 
 
 def exact_quotient(a, b):
-    """a / b, exact on ints: int/int gives a ``Fraction``, any other pair
-    (``Fraction``, ``GaussianRational`` or float) uses its own ``/``."""
+    """a / b as the simplest scalar: int/int gives an int when b divides a
+    and a ``Fraction`` otherwise, any other pair uses its own ``/`` and is
+    collapsed by ``normalize_scalar`` (a Gaussian quotient with zero
+    imaginary part comes back rational); floats pass through."""
     if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return normalize_scalar(a / b)
 
 
 def format_rational(c) -> str:

@@ -24,8 +24,8 @@ t pair also sits at bits 32..39, so an operand must be base-only, and
 
 from __future__ import annotations
 
-from entatlas.catalog import build_catalog
-from entatlas.poly import _FIELD, _W, Polynomial, _mul_raw, _scale_raw
+from entatlas.catalog import _mul_raw, build_catalog
+from entatlas.poly import _FIELD, _W, Polynomial
 from entatlas.qstate import State
 from entatlas.scalars import normalize_scalar
 
@@ -57,6 +57,16 @@ def _add_raw(a: dict, b: dict) -> dict:
             out[k] = s
         elif k in out:
             del out[k]
+    return out
+
+
+def _scale_raw(a: dict, c) -> dict:
+    """c * a, each coefficient in its simplest form, zeros dropped."""
+    out = {}
+    for k, v in a.items():
+        s = normalize_scalar(v * c)
+        if s:
+            out[k] = s
     return out
 
 

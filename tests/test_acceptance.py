@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from entatlas.atlas import ClassTable, adherence_order, verify_tables
-from entatlas.catalog import split_T
+from entatlas.catalog import _read_data, split_T
 from entatlas.classify import (
     GOLDEN,
     classify,
@@ -134,9 +134,8 @@ def _restricted(table, labels):
 def test_criterion_05_adherence_graphs(secant_table):
     forms, table = secant_table
     import json
-    from importlib import resources
 
-    graphs = json.loads(resources.files("entatlas.data").joinpath("graphs.json").read_text())
+    graphs = json.loads(_read_data("graphs.json"))
     g1 = adherence_order(_restricted(table, NULLCONE_31))
     nullcone_ok = {(u, l) for u, l, _ in g1.edges} == {tuple(e) for e in graphs["nullcone_edges"]}
     cross_ok = True

@@ -13,7 +13,6 @@ from entatlas.atlas import (
     _flip_images,
     _flip_key,
     _invariant_bits,
-    _sparse_image,
     adherence_order,
     discover_classes,
     enumerate_forms,
@@ -25,7 +24,15 @@ from entatlas.atlas import (
 )
 from entatlas.catalog import EXTENDED_T_IDS
 from entatlas.invariants import hyperdet_delta, inv_B, inv_D, inv_L, inv_M
-from entatlas.qstate import LocalOperator, State, StateError, apply_local, decode_form, encode_form
+from entatlas.qstate import (
+    LocalOperator,
+    State,
+    StateError,
+    _sparse_image,
+    apply_local,
+    decode_form,
+    encode_form,
+)
 
 
 @pytest.mark.parametrize("name", ["secant", "", "Nullcone", "all"])

@@ -1,7 +1,6 @@
 import hashlib
 import random
 from fractions import Fraction
-from importlib import resources
 from math import comb
 
 import pytest
@@ -18,7 +17,9 @@ from entatlas.catalog import (
     V_SPEC,
     VPP_SPEC,
     W_SPEC,
+    _mul_raw,
     _parse_line,
+    _read_data,
     split_T,
 )
 from entatlas.classify import GOLDEN, classify, orbit_records
@@ -30,11 +31,11 @@ from entatlas.qstate import (
     random_sl2_tuple,
     random_state,
 )
-from entatlas.poly import _W, Polynomial, _mul_raw, _scale_raw, x
+from entatlas.poly import _W, Polynomial, x
 from entatlas.scalars import GaussianRational
 
 from conftest import ket_state
-from omega_oracle import Poly, _add_raw, _diff_raw, to_ground_form, transvect
+from omega_oracle import Poly, _add_raw, _diff_raw, _scale_raw, to_ground_form, transvect
 
 
 def test_census(catalog):
@@ -61,7 +62,7 @@ def test_id_parse_roundtrip():
 
 
 def test_hash_pinned():
-    text = resources.files("entatlas.data").joinpath("covariants.txt").read_text()
+    text = _read_data("covariants.txt")
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256
 
 
@@ -298,8 +299,8 @@ def test_value_rejects_wrong_multidegree(catalog, monkeypatch):
     # x1_0, which makes B_0000 = (1/2)(A, A)^1111 of multidegree (1, 0, 0, 0).
     kernel = EvalSession._transvect_ground
 
-    def shifted(self, terms, idx):
-        return {k + 1: c for k, c in kernel(self, terms, idx).items()}
+    def shifted(self, acc, terms, idx, coef):
+        return {k + 1: c for k, c in kernel(self, acc, terms, idx, coef).items()}
 
     monkeypatch.setattr(EvalSession, "_transvect_ground", shifted)
     sess = catalog.session(random_state(17))
@@ -392,7 +393,8 @@ LAM6 = ("C_3111", "C_1311", "C_1131", "C_1113", "D_4000", "D_0400", "D_0040", "D
 def test_integer_scale_table(catalog):
     """lam_A = 1, lam_C = 6 on exactly the C_3111 and D_4000 families and
     2 elsewhere, and every scaled term coefficient lam_C * coef / lam_X is
-    an int."""
+    the int +1 or -1, which makes each exact value a signed sum of its
+    terms."""
     lams = {str(cid): catalog.defs[cid].lam for cid in catalog.order}
     assert lams.pop("A") == 1
     assert {name for name, lam in lams.items() if lam == 6} == set(LAM6)
@@ -401,7 +403,7 @@ def test_integer_scale_table(catalog):
         d = catalog.defs[cid]
         assert len(d.int_coefs) == len(d.terms)
         for k, (coef, _, rhs, _) in zip(d.int_coefs, d.terms):
-            assert type(k) is int
+            assert type(k) is int and k in (1, -1)
             assert k == d.lam * coef / catalog.defs[rhs].lam
 
 
@@ -427,7 +429,7 @@ class _OracleSession(EvalSession):
                 terms[key] = self._amps[b]
         return terms
 
-    def _transvect_ground(self, rhs, idx):
+    def _omega_term(self, rhs, idx):
         sites = [k for k in range(4) if idx[k]]
         acc = {}
         for m in range(1 << len(sites)):
@@ -458,7 +460,7 @@ class _OracleSession(EvalSession):
         if value is None:
             value = {}
             for coef, _, rhs, idx in self.catalog.defs[cid].terms:
-                tv = self._transvect_ground(self._value(rhs), idx)
+                tv = self._omega_term(self._value(rhs), idx)
                 if coef == -1:
                     tv = {k: -c for k, c in tv.items()}
                 elif coef != 1:
@@ -508,15 +510,17 @@ def test_float_derivative_rounds_site_by_site(catalog):
     0.1 * 3 * 5 rounds to 1.5000000000000002, 0.1 * 15 to 1.5."""
     s = State([1.0] + [0.0] * 15)
     rhs = Polynomial.monomial(0.1, {x(1, 1): 3, x(2, 1): 5}).terms
-    got = catalog.session(s)._transvect_ground(rhs, (1, 1, 0, 0))
-    want = _OracleSession(catalog, s)._transvect_ground(rhs, (1, 1, 0, 0))
+    got = catalog.session(s)._transvect_ground({}, rhs, (1, 1, 0, 0), 1)
+    want = _OracleSession(catalog, s)._omega_term(rhs, (1, 1, 0, 0))
     assert list(got.items()) == list(want.items())
     assert list(got.values()) == [0.1 * 3 * 5] != [0.1 * 15]
 
 
 def test_exact_values_match_unscaled_oracle(catalog):
     """All 170 ``eval`` values equal the oracle's on int, ``Fraction`` and
-    Gaussian states, and the integer states' memoized values are ints."""
+    Gaussian states, the integer states' memoized values are ints, and no
+    memoized value holds a zero coefficient (``_value`` drops the sums
+    that cancel, and the exact ``_bit`` reads ``any(values)``)."""
     i = GaussianRational(0, Fraction(1, 2))
     records = orbit_records()
     for label in (59520, 6014, 65257, 64704, 65534, 59777, 59510):
@@ -526,10 +530,11 @@ def test_exact_values_match_unscaled_oracle(catalog):
             sess, oracle = catalog.session(s), _OracleSession(catalog, s)
             for cid in catalog.order:
                 assert sess.eval(cid) == oracle.eval(cid), (label, s, cid)
-                assert all(type(c) is int for c in sess._value(cid).values())
+                assert all(type(c) is int and c for c in sess._value(cid).values())
         if label in (6014, 65257):
             # Gaussian states are slow (Fraction parts), so only two.
             gauss = State([i * a + Fraction(b % 3, 2) for b, a in enumerate(nf.amps)])
             sess, oracle = catalog.session(gauss), _OracleSession(catalog, gauss)
             for cid in catalog.order:
                 assert sess.eval(cid) == oracle.eval(cid), (label, gauss, cid)
+                assert all(sess._value(cid).values()), (label, gauss, cid)

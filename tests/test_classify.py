@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from entatlas.atlas import _flip_key, _sparse_image
+from entatlas.atlas import _flip_key
 from entatlas.catalog import EvalSession
 from entatlas.classify import (
     GOLDEN,
@@ -25,6 +25,7 @@ from entatlas.qstate import (
     QubitPermutation,
     State,
     StateError,
+    _sparse_image,
     apply_local,
     decode_form,
     permute_qubits,

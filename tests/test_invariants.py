@@ -10,7 +10,6 @@ from entatlas.invariants import (
     SITE_OF,
     _det4,
     _gram,
-    _over,
     all_invariants,
     delta_via_sextic,
     hyperdet_delta,
@@ -99,7 +98,7 @@ def _table_and_oracle(s: State):
     and the quartic, each flattened to one list of scalars."""
     table, oracle = [], []
     for pair in PAIRS:
-        table += [_over(c, s.scale ** 2) for row in _gram(s.cleared, pair) for c in row]
+        table += [exact_quotient(c, s.scale ** 2) for row in _gram(s.cleared, pair) for c in row]
         m = _gram_via_b_form(s, pair)
         oracle += [c for row in m for c in row]
         table.append(inv_D(s, pair))
@@ -193,8 +192,8 @@ def test_flattening_tables_match_site_assembly():
     seen_nonzero = [False] * 4
     for s in ints + fracs + gauss + floats:
         q, amps = s.scale, s.cleared
-        want = [_over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
-        want.append(_over(_pairing(amps), 2 * q * q))
+        want = [exact_quotient(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
+        want.append(exact_quotient(_pairing(amps), 2 * q * q))
         got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s)]
         assert [(repr(v), type(v)) for v in got] == [(repr(v), type(v)) for v in want], s
         seen_nonzero = [seen or bool(v) for seen, v in zip(seen_nonzero, want)]

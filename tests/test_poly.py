@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entatlas.poly import NonHomogeneousError, Polynomial, VariableId, t, x
-from entatlas.scalars import GaussianRational
+from entatlas.scalars import GaussianRational, exact_quotient
 
 from omega_oracle import Poly, PolynomialError, primed
 
@@ -140,6 +140,34 @@ def test_fraction_normalization():
     p = Fraction(1, 2) * (2 * X10)
     assert p.terms[next(iter(p.terms))] == 1
     assert isinstance(p.terms[next(iter(p.terms))], int)
+
+
+def test_exact_quotient_is_simplest_scalar():
+    """int/int is an int when exact and a Fraction otherwise; any other
+    quotient is collapsed as ``normalize_scalar`` collapses it, so a
+    Gaussian with zero imaginary part comes back rational; floats pass
+    through."""
+    for a, b, want in ((6, 3, 2), (-6, 3, -2), (0, 5, 0), (True, 1, 1)):
+        got = exact_quotient(a, b)
+        assert got == want and type(got) is int
+    for a, b in ((1, 3), (-7, 2), (2, -4)):
+        got = exact_quotient(a, b)
+        assert got == Fraction(a, b) and type(got) is Fraction
+    assert type(exact_quotient(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    i = GaussianRational(0, 1)
+    half = exact_quotient(GaussianRational(2, 4), 4)
+    assert isinstance(half, GaussianRational) and half == GaussianRational(Fraction(1, 2), 1)
+    for real in (exact_quotient(GaussianRational(3, 0), 2), exact_quotient(2 * i, 4 * i)):
+        assert type(real) in (int, Fraction)
+    assert exact_quotient(GaussianRational(3, 0), 2) == Fraction(3, 2)
+    assert exact_quotient(2 * i, 4 * i) == Fraction(1, 2)
+    assert exact_quotient(3 * i, i) == 3 and type(exact_quotient(3 * i, i)) is int
+    for a, b in ((1.0, 3), (0.5, 1), (7, 2.0)):
+        got = exact_quotient(a, b)
+        assert got == a / b and type(got) is float
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(1, 0)
 
 
 def test_str_deterministic_graded_lex():

@@ -234,6 +234,20 @@ def test_cleared_amplitudes():
     assert [type(a) for a in bools.amps[:2]] == [bool, bool]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_non_finite_float_amplitudes_rejected(bad):
+    """NaN and +-inf are no amplitudes: no nullity test can read them, and
+    each once made a non-nilpotent state read as nilpotent.  They are
+    rejected when a state is built, directly or by ``apply_local`` with a
+    non-finite operator entry."""
+    amps = [float(a) for a in random_state(5).amps]
+    with pytest.raises(StateError, match="not finite"):
+        State([bad] + amps[1:])
+    g = LocalOperator(((1.0, bad), (0.0, 1.0)), ((1, 0), (0, 1)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+    with pytest.raises(StateError, match="not finite"):
+        apply_local(g, State(amps))
+
+
 def test_permute_form():
     sigma = QubitPermutation((1, 2, 4, 3))
     n = encode_form(ket_state((0, 0, 1, 0)))
