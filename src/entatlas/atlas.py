@@ -13,7 +13,7 @@ orbits, and every invariant bit and covariant nullity is constant on a
 whole GL2^4 orbit (proof in ``signatures_for``).  So ``enumerate_forms``
 runs its filter once per flip orbit.  ``signatures_for`` goes further: it
 maps each flip orbit to a sparse integer image under unimodular shears
-(``_sparse_image``), and flip orbits with the same image share one
+(``qstate._sparse_image``), and flip orbits with the same image share one
 evaluation.  Signatures of 256 or more distinct images are spread over a
 process pool of ``processes`` workers, capped at the cores this process
 may run on (default: all of them).
@@ -145,9 +145,9 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     """n -> (invariant bits + covariant signature) for every form.
 
     The forms are grouped by bit-flip orbit, the least member of each
-    orbit is mapped to its ``_sparse_image``, and the signature is computed
-    once per distinct image and copied to every form whose orbit maps
-    there.  The process pool is used when there are 256 or more images.
+    orbit is mapped to its ``qstate._sparse_image``, and the signature is
+    computed once per distinct image and copied to every form whose orbit
+    maps there.  The process pool is used when there are 256 or more images.
 
     Why the copy is exact.  Every catalog covariant C is built by
     transvection from the ground form A, so it is an SL2^4 covariant,
