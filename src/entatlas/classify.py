@@ -3,12 +3,19 @@
 The nullcone classifier computes the 29-bit T signature and looks it up
 in the golden evaluation table; the secant classifier branches on the
 exact vanishing of L, M, B and D_xy, then separates classes with the V'
-and V'' vectors; the extended variant refines the B != 0, D_xy != 0
-branch with Z before consulting V'.  Table matching is exact: an
-in-domain signature that matches no golden row, or a W vector that
-contradicts the stratum its V'' row names, raises rather than guessing.
+and V'' vectors; the extended variant matches V' in the same table and
+splits its B != 0, D_xy != 0 branch with Z.  Table matching is exact: an
+in-domain signature that matches no golden row, or a V or W vector that
+contradicts the matched label's stratum, raises rather than guessing.
 In exact mode that is an integrity error (a broken catalog); in float
 mode it is a low-confidence failure, since a float bit may be wrong.
+
+A result's stratum is always its label's orbit record ``group``.  That
+changes no answer: V's bits are a function of T's bits and W's of the
+first six bits of V'' (in both modes a group's bit is the OR of its
+members' bits, a product's the minimum of its factors'), and
+``verify_tables`` shows that V and W name the group of every golden row.
+The V and W checks stay, as runtime checks of the tables.
 
 Also here: orbit dimensions from the rank of the local Lie-algebra
 action, tangent-space ranks at separable points (secant defectivity),
@@ -103,15 +110,14 @@ class _Golden:
     @_memoized
     def vp_lookup(self) -> dict:
         return {
-            tuple(row["vprime"]): (int(label), row["stratum"])
+            tuple(row["vprime"]): int(label)
             for label, row in self.tables["vprime_classes"].items()
         }
 
     @_memoized
     def vpp_lookup(self) -> dict:
         return {
-            tuple(row["vpp"]): (int(label), row["stratum"])
-            for label, row in self.tables["vpp_classes"].items()
+            tuple(row["vpp"]): int(label) for label, row in self.tables["vpp_classes"].items()
         }
 
     @_memoized
@@ -145,10 +151,6 @@ class ClassificationResult(
 ):
     __slots__ = ()
 
-    def __new__(cls, label, variety, stratum, signatures=None, mode="exact", confidence="exact"):
-        signatures = {} if signatures is None else signatures
-        return super().__new__(cls, label, variety, stratum, signatures, mode, confidence)
-
     def to_dict(self, invariants: dict | None = None) -> dict:
         out = {
             "label": self.label,
@@ -173,14 +175,14 @@ def _miss(sess: EvalSession, message: str) -> Exception:
     return IntegrityError(message)
 
 
-def _result(label, signatures, sess: EvalSession, stratum=None):
+def _result(label, signatures, sess: EvalSession):
     rec = GOLDEN.orbits.get(label)
     if rec is None:
         raise IntegrityError(f"label {label} missing from the orbit catalog")
     return ClassificationResult(
         label=label,
         variety=rec.variety,
-        stratum=stratum if stratum is not None else rec.group,
+        stratum=rec.group,
         signatures=signatures,
         mode="float" if sess.float_mode else "exact",
         confidence=sess.confidence(),
@@ -195,19 +197,22 @@ def classify_nullcone(s: State) -> ClassificationResult:
 
 
 def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
-    """The T/V table lookup for a state already known to be nilpotent."""
+    """The T/V table lookup for a state already known to be nilpotent: T
+    names the label, its orbit record the stratum, and V, a function of
+    T's bits, only checks the tables (see the module docstring)."""
     sig = sess.signature(T_IDS)
     label = GOLDEN.t_lookup.get(sig)
     if label is None:
         raise _miss(sess, f"nilpotent state with unknown T signature {sig}")
     v = sess.vector_V()
-    gr = GOLDEN.v_lookup.get(v)
-    if gr is None:
-        raise _miss(sess, f"V signature {v} matches no stratum row")
-    return _result(label, {"T": sig, "V": v}, sess, stratum=gr)
+    result = _result(label, {"T": sig, "V": v}, sess)
+    if GOLDEN.v_lookup.get(v) != result.stratum:
+        raise _miss(sess, f"V signature {v} does not match stratum {result.stratum}")
+    return result
 
 
-def _secant_branch(s, extended):
+def classify(s: State, extended: bool = False) -> ClassificationResult:
+    """The third-secant decision procedure, refined by Z when ``extended``."""
     check_nonzero(s)
     if invariant_nonzero(inv_L(s), s, 4) or invariant_nonzero(inv_M(s), s, 4):
         raise ClassifyFail("L or M does not vanish (outside the third secant)")
@@ -221,56 +226,44 @@ def _secant_branch(s, extended):
         return _result(59777, {"B": (0,), "Dxy": (1,)}, sess)
     if not Dxy:
         vpp = sess.vector_Vpp()
-        hit = GOLDEN.vpp_lookup.get(vpp)
-        if hit is None:
+        label = GOLDEN.vpp_lookup.get(vpp)
+        if label is None:
             raise _miss(sess, f"V'' signature {vpp} matches no golden row")
-        label, stratum = hit
         w = sess.vector_W()
-        if GOLDEN.w_lookup.get(w) != stratum:
-            raise _miss(sess, f"W signature {w} does not match stratum {stratum}")
-        return _result(label, {"Vpp": vpp, "W": w}, sess, stratum=stratum)
+        result = _result(label, {"Vpp": vpp, "W": w}, sess)
+        if GOLDEN.w_lookup.get(w) != result.stratum:
+            raise _miss(sess, f"W signature {w} does not match stratum {result.stratum}")
+        return result
     vp = sess.signature(VPRIME_IDS)
-    if extended:
-        if invariant_nonzero(inv_Z(s), s, 6):
-            return _result(65257, {"Vp": vp, "Z": (1,)}, sess)
-        if not any(vp):
-            return _result(59510, {"Vp": vp, "Z": (0,)}, sess)
-        return _result(6014, {"Vp": vp, "Z": (0,)}, sess, stratum="secant-special")
-    hit = GOLDEN.vp_lookup.get(vp)
-    if hit is None:
+    label = GOLDEN.vp_lookup.get(vp)
+    if label is None:
         raise _miss(sess, f"V' signature {vp} matches no golden row")
-    label, stratum = hit
-    return _result(label, {"Vp": vp}, sess, stratum=stratum)
+    if not extended:
+        return _result(label, {"Vp": vp}, sess)
+    if invariant_nonzero(inv_Z(s), s, 6):
+        return _result(65257, {"Vp": vp, "Z": (1,)}, sess)
+    # Z = 0 splits the extended class 6014 off the generic row 65257.
+    return _result(6014 if label == 65257 else label, {"Vp": vp, "Z": (0,)}, sess)
 
 
 def classify_secant3(s: State) -> ClassificationResult:
     """The third-secant decision procedure (branch on B and D_xy, then V'/V'')."""
-    return _secant_branch(s, extended=False)
+    return classify(s)
 
 
 def classify_secant3_extended(s: State) -> ClassificationResult:
-    """The refinement that tests Z before V', separating the extended class 6014."""
-    return _secant_branch(s, extended=True)
-
-
-def classify(s: State, extended: bool = False) -> ClassificationResult:
-    return _secant_branch(s, extended=extended)
+    """The refinement that tests Z after V', separating the extended class 6014."""
+    return classify(s, extended=True)
 
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra for dimensions.
 
 
-def _as_fraction_rows(rows):
-    out = []
-    for row in rows:
-        out.append([c if isinstance(c, (int, Fraction, GaussianRational)) else Fraction(c) for c in row])
-    return out
-
-
 def exact_rank(rows) -> int:
     """Rank of a matrix over the rationals (or Gaussian rationals)."""
-    m = _as_fraction_rows(rows)
+    exact = (int, Fraction, GaussianRational)
+    m = [[c if isinstance(c, exact) else Fraction(c) for c in row] for row in rows]
     if not m:
         return 0
     ncols = len(m[0])

@@ -57,19 +57,13 @@ class State:
         for a in amps:
             if type(a) is int:
                 continue
+            _check_scalar(a, "amplitude")
             if isinstance(a, Fraction):
                 q = lcm(q, a.denominator)
             elif isinstance(a, float):
-                if not isfinite(a):
-                    raise StateError(f"amplitude {a!r} is not finite")
                 floats = True
             elif isinstance(a, GaussianRational):
                 gaussian = True
-            # Bools pass as ints; a Python complex would compute in floats.
-            elif not isinstance(a, int):
-                raise StateError(
-                    f"amplitude {a!r} is not an int, Fraction, float or GaussianRational"
-                )
         if floats and gaussian:
             raise StateError("float mode does not support complex amplitudes")
         self.amps = amps
@@ -131,7 +125,7 @@ class State:
     def from_json(cls, text: str) -> "State":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
             raise StateError(f"malformed state JSON: {e}") from e
         if not isinstance(doc, dict):
             raise StateError("state JSON must be an object")
@@ -145,6 +139,16 @@ class State:
                 for p in _entries(doc, "amplitudes_c")
             )
         raise StateError('state JSON needs "form", "amplitudes" or "amplitudes_c"')
+
+
+def _check_scalar(a, what: str):
+    """Raise unless ``a`` is an int (bools too), a Fraction, a finite float
+    or a GaussianRational; a Python complex would compute in floats."""
+    if isinstance(a, float):
+        if not isfinite(a):
+            raise StateError(f"{what} {a!r} is not finite")
+    elif not isinstance(a, (int, Fraction, GaussianRational)):
+        raise StateError(f"{what} {a!r} is not an int, Fraction, float or GaussianRational")
 
 
 def _entries(doc: dict, key: str) -> list:
@@ -198,7 +202,7 @@ def encode_form(s: State) -> int:
 
 
 class LocalOperator:
-    """One 2x2 matrix of exact scalars per site, each invertible."""
+    """One invertible 2x2 matrix per site, of the scalar kinds a ``State`` accepts."""
 
     __slots__ = ("factors",)
 
@@ -208,6 +212,8 @@ class LocalOperator:
             m = tuple(tuple(normalize_scalar(e) for e in row) for row in g)
             if len(m) != 2 or any(len(r) != 2 for r in m):
                 raise StateError(f"factor {k} is not a 2x2 matrix")
+            for e in m[0] + m[1]:
+                _check_scalar(e, f"factor {k} entry")
             if not _det2(m):
                 raise StateError(f"factor {k} is singular")
             factors.append(m)

@@ -9,11 +9,12 @@ docstring derives from the discriminant of the assembled quartic, and
 asserts Delta != 0 where it must be so that the check cannot pass vacuously.
 """
 
+import json
 import random
 from fractions import Fraction
 
-from entatlas.atlas import ClassTable, adherence_order, verify_tables
-from entatlas.catalog import _read_data, split_T
+from entatlas.atlas import _GR3PP, ClassTable, adherence_order, verify_tables
+from entatlas.catalog import VPRIME_IDS, _read_data, build_catalog, split_T
 from entatlas.classify import (
     GOLDEN,
     classify,
@@ -133,8 +134,6 @@ def _restricted(table, labels):
 
 def test_criterion_05_adherence_graphs(secant_table):
     forms, table = secant_table
-    import json
-
     graphs = json.loads(_read_data("graphs.json"))
     g1 = adherence_order(_restricted(table, NULLCONE_31))
     nullcone_ok = {(u, l) for u, l, _ in g1.edges} == {tuple(e) for e in graphs["nullcone_edges"]}
@@ -155,6 +154,63 @@ def test_criterion_05_adherence_graphs(secant_table):
             details.append(f"{fig}: {sorted(got ^ want)}")
     assert _report(5, "adherence graphs (nullcone diagram + cross-strata figures)",
                    nullcone_ok and cross_ok, f"nullcone={nullcone_ok} {details}")
+
+
+def test_secant_graph_transcriptions(secant_table):
+    """The secant-only diagram and its caveats, as transcribed: the covers
+    of the census order between secant classes, and the edges that
+    ``adherence_order`` flags, whose lower ends are the six Gr''_3 classes
+    that 59510 does not contain."""
+    _, table = secant_table
+    graphs = json.loads(_read_data("graphs.json"))
+    secant = set(SECANT_17)
+    g = adherence_order(table)
+    edges = {(u, l) for u, l, _ in g.edges if u in secant and l in secant}
+    assert len(graphs["secant_edges"]) == 51
+    assert edges == {tuple(e) for e in graphs["secant_edges"]}
+    caveats = {(u, l) for u, l, caveat in g.edges if caveat}
+    assert caveats == {tuple(e) for e in graphs["secant_caveat"]}
+    assert {l for _, l in caveats} == _GR3PP
+
+
+def test_extended_graph_transcription(secant_table):
+    """The extended chain 65257 > 6014 > 59510: with the Z bit appended to
+    the census signatures, 6014 (in census class 65257, with Z = 0) sits
+    between the two classes it separates."""
+    _, table = secant_table
+    sig = {rep: s for s, rep in table.representatives.items()}
+    assert 6014 in table.classes[sig[65257]]
+    census_sig = {6014: sig[65257], 65257: sig[65257], 59510: sig[59510]}
+    extended = ClassTable(representatives={
+        s + (int(inv_Z(orbit_records()[label].normal_form) != 0),): label
+        for label, s in census_sig.items()
+    })
+    graphs = json.loads(_read_data("graphs.json"))
+    edges = {(u, l) for u, l, _ in adherence_order(extended).edges}
+    assert edges == {tuple(e) for e in graphs["extended_edges"]}
+
+
+def test_secant_table_transcriptions():
+    """The V' of 6014 equals the generic row 65257's: Z alone separates
+    them.  Each V' and V'' row's stratum is its orbit record's group, the
+    one source of a classification's stratum."""
+    tables = GOLDEN.tables
+    vp_6014 = build_catalog().session(decode_form(6014)).signature(VPRIME_IDS)
+    assert list(vp_6014) == tables["vprime_6014"] == tables["vprime_classes"]["65257"]["vprime"]
+    for key in ("vprime_classes", "vpp_classes"):
+        for label_s, row in tables[key].items():
+            assert row["stratum"] == orbit_records()[int(label_s)].group, (key, label_s)
+
+
+def test_quartic_disc_delta_ratio_transcription():
+    """The assembled quartic's discriminant is the transcribed ratio times
+    Delta, on random states where Delta is nonzero."""
+    ratio = Fraction(*GOLDEN.tables["quartic_disc_delta_ratio"])
+    for seed in range(5):
+        s = random_state(seed)
+        delta = hyperdet_delta(s)
+        assert delta != 0
+        assert quartic_delta(verstraete_quartic_coeffs(s)) == ratio * delta
 
 
 def test_criterion_06_normal_form_round_trip():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from entatlas.atlas import _flip_key
-from entatlas.catalog import EvalSession
+from entatlas.catalog import VPRIME_IDS, EvalSession
 from entatlas.classify import (
     GOLDEN,
     ClassifyFail,
@@ -95,10 +95,13 @@ def test_extended_branch():
 
 
 def test_all_records_roundtrip_with_sl_images():
+    """Each normal form and one SL2^4 image of it get the form's label, and
+    the result's stratum is the orbit record's group on every branch."""
     for label, rec in sorted(orbit_records().items()):
         if label == 0:
             continue
-        assert classify_secant3_extended(rec.normal_form).label == label
+        r = classify_secant3_extended(rec.normal_form)
+        assert (r.label, r.stratum) == (label, rec.group)
         g = random_sl2_tuple(1000 + label)
         assert classify_secant3_extended(apply_local(g, rec.normal_form)).label == label
 
@@ -142,6 +145,23 @@ def test_w_vector_mismatch_raises(monkeypatch):
                 continue
             with pytest.raises(IntegrityError, match="W signature"):
                 classify_secant3(s)
+
+
+def test_unknown_vprime_raises_in_both_branches(monkeypatch):
+    """Both secant procedures match V' against the same golden rows: a V'
+    that matches none is an integrity error, also in the extended branch,
+    whatever Z is (nonzero on 65257, zero on 6014 and 59510)."""
+    signature = EvalSession.signature
+
+    def fake(self, cids):
+        return (1, 0, 1, 0) if cids == VPRIME_IDS else signature(self, cids)
+
+    monkeypatch.setattr(EvalSession, "signature", fake)
+    for label in (65257, 6014, 59510):
+        s = orbit_records()[label].normal_form
+        for classifier in (classify_secant3, classify_secant3_extended):
+            with pytest.raises(IntegrityError, match="V' signature"):
+                classifier(s)
 
 
 def test_permutation_covariance():

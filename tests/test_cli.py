@@ -182,6 +182,24 @@ def test_classify_malformed_state_json(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+def test_deeply_nested_state_json_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """JSON nested deeper than the parser's recursion limit is malformed
+    input, from a file or from stdin: an error line and exit 1, no
+    traceback."""
+    import io
+
+    text = "[" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error: malformed state JSON") and "Traceback" not in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "classify")
+    assert code == 1 and not out
+    assert err.startswith("error: malformed state JSON") and "Traceback" not in err
+
+
 def test_invariants_ghz_style(capsys):
     code, out, _ = run(capsys, "invariants", "--form", "65534")
     assert code == 0

@@ -212,6 +212,8 @@ def test_json_form_shorthand():
 def test_json_malformed():
     with pytest.raises(StateError):
         State.from_json("not json")
+    with pytest.raises(StateError, match="malformed state JSON"):
+        State.from_json("[" * 200_000)
     with pytest.raises(StateError):
         State.from_json('{"amplitudes": [[1,1]]}')
     with pytest.raises(StateError):
@@ -238,14 +240,56 @@ def test_cleared_amplitudes():
 def test_non_finite_float_amplitudes_rejected(bad):
     """NaN and +-inf are no amplitudes: no nullity test can read them, and
     each once made a non-nilpotent state read as nilpotent.  They are
-    rejected when a state is built, directly or by ``apply_local`` with a
-    non-finite operator entry."""
+    rejected when a state is built, and a non-finite operator entry, which
+    ``apply_local`` would spread into the amplitudes, when the operator is
+    built."""
     amps = [float(a) for a in random_state(5).amps]
     with pytest.raises(StateError, match="not finite"):
         State([bad] + amps[1:])
-    g = LocalOperator(((1.0, bad), (0.0, 1.0)), ((1, 0), (0, 1)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
     with pytest.raises(StateError, match="not finite"):
-        apply_local(g, State(amps))
+        LocalOperator(((1.0, bad), (0.0, 1.0)), ((1, 0), (0, 1)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+
+
+_EYE = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (float("nan"), "not finite"),
+        (float("inf"), "not finite"),
+        (float("-inf"), "not finite"),
+        (1j, "not an int, Fraction, float or GaussianRational"),
+        (complex(1, 0), "not an int, Fraction, float or GaussianRational"),
+        ("1", "not an int, Fraction, float or GaussianRational"),
+    ],
+    ids=["nan", "inf", "-inf", "1j", "complex-real", "str"],
+)
+def test_local_operator_rejects_non_scalar_entries(bad, message):
+    """An operator entry must be one of the kinds a ``State`` accepts.  A NaN
+    determinant is truthy, so the singularity test alone let a NaN entry
+    through, and a Python ``complex`` would compute in floats.  Each is
+    rejected at any entry of any site, when the operator is built."""
+    for site in range(4):
+        for row, col in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            m = [[1, 0], [0, 1]]
+            m[row][col] = bad
+            factors = [_EYE] * 4
+            factors[site] = m
+            with pytest.raises(StateError, match=f"factor {site + 1} entry .*{message}"):
+                LocalOperator(*factors)
+
+
+def test_local_operator_accepts_state_scalar_kinds():
+    """int, bool, Fraction, finite float and GaussianRational entries build an
+    operator, as they build a state."""
+    i = GaussianRational(0, 1)
+    g = LocalOperator(
+        ((1, 2), (0, 1)), ((Fraction(1, 2), 0), (0, 2)), ((0.5, 0.25), (0.0, 2.0)), ((1, i), (0, 1))
+    )
+    assert g.determinants() == (1, 1, 1.0, 1)
+    bools = ((True, False), (False, True))
+    assert LocalOperator(bools, _EYE, _EYE, _EYE).determinants() == (1, 1, 1, 1)
 
 
 def test_permute_form():
