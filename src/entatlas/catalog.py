@@ -22,17 +22,28 @@ catalog's own coefficients and their summation order (see
 one kernel evaluates every term, and it is the package's only
 transvection: the ground-form-specialized ``EvalSession._transvect_ground``.
 The ground form is multilinear, so each of its amplitudes meets Omega at
-an index site in one way only (the per-site rule, proved there): the
-kernel groups the amplitudes by their bits on the index sites, takes for
-each group the one derivative of rhs it needs, read off the exponents in
-the keys, and adds its products with the group's amplitudes straight
-into the covariant's one sum.  The tests pin it against the literal Omega
-process, which they keep as an oracle (``tests/omega_oracle.py``), on
-every scalar kind.
+an index site in one way only (the per-site rule, proved there): a term
+(key, c) of rhs and an amplitude a_b give a_b * f * c at a fixed offset
+from key, where the factor f is a product of the exponents of key at the
+index sites.  Those exponents are ``key & key_mask``, the key's pattern on
+both fields of every index site, so the pattern fixes f for every b, and
+the offsets and signed amplitudes are constants of the state.  On exact
+states each session therefore memoizes, per index and pattern, the
+(offset, a_b * f) pairs with f != 0, and the kernel is one loop over the
+terms of rhs that adds each pair's product straight into the
+covariant's one sum.  That changes only the order of exact sums and of
+the keys in a value, which no output reads (``Polynomial`` prints its
+terms sorted, and bits are zero tests).  Float states keep the literal
+expansion's order and roundings: per group of amplitudes with the same
+bits on the index sites, the one derivative of rhs it needs, multiplied
+out and summed as the expansion does.  The tests pin the kernel against
+the literal Omega process, which they keep as an oracle
+(``tests/omega_oracle.py``), on every scalar kind.
 The kernel trusts the load-time checks and repeats none of them; the one
 check left at evaluation runs once per covariant, where its value is
-memoized (``EvalSession._value``): the value is multihomogeneous of the
-declared multidegree.
+memoized (``EvalSession._value``): every key lies in the eight site
+fields and has the declared multidegree, compared as packed site degrees,
+and a value that fails raises ``CatalogError``.
 ``Catalog.session`` hands out a new session on every call and the catalog
 keeps none, so a caller that reads one state several times holds its
 session, and states evaluate independently in parallel.  The composite
@@ -330,7 +341,7 @@ def _add_scaled(acc: dict, terms: dict, c) -> dict:
 
 def _index_table(idx) -> tuple:
     """The state-free part of the kernel for the index ``idx``:
-    (entries, shifts).
+    (entries, shifts, key_mask).
 
     An amplitude a_b meets the index sites through its selector, the bits
     of b on those sites.  ``entries`` holds one (selector, b, key offset,
@@ -338,7 +349,9 @@ def _index_table(idx) -> tuple:
     +x_{k,b_k} on the other sites and -x_{k,1-b_k} on the index sites, and
     ``odd`` is the parity of the number of index sites with b_k = 1.
     ``shifts[selector]`` holds, for each index site k in increasing k, the
-    bit offset of the exponent field of x_{k,1-b_k}."""
+    bit offset of the exponent field of x_{k,1-b_k}.  ``key_mask`` covers
+    both exponent fields of every index site, so ``key & key_mask`` is the
+    key's exponent pattern on the index sites."""
     sites = [k for k in range(4) if idx[k]]
     mask = sum(1 << k for k in sites)
     entries = []
@@ -356,12 +369,66 @@ def _index_table(idx) -> tuple:
     shifts = {
         sel: tuple(_W * (2 * k + 1 - ((sel >> k) & 1)) for k in sites) for sel, _, _, _ in entries
     }
-    return tuple(entries), shifts
+    key_mask = sum(_SITE_FIELDS << (2 * _W * k) for k in sites)
+    return tuple(entries), shifts, key_mask
 
+
+# Both exponent fields of site 1, and the x_{k,0} field of every site: the
+# packed site degrees of a key k are (k & _LOW) + ((k >> _W) & _LOW), one
+# byte per site (see ``_check_multidegree``).
+_SITE_FIELDS = (1 << (2 * _W)) - 1
+_LOW = sum(_FIELD << (2 * _W * k) for k in range(4))
 
 _INDEX_TABLES = {
     idx: _index_table(idx) for idx in (tuple((m >> k) & 1 for k in range(4)) for m in range(16))
 }
+
+
+def _packed(multidegree) -> int:
+    """A multidegree packed as the site degrees of a key are: one byte per
+    site."""
+    return sum(d << (2 * _W * k) for k, d in enumerate(multidegree))
+
+
+def _unpacked(packed: int) -> tuple:
+    return tuple((packed >> (2 * _W * k)) & _SITE_FIELDS for k in range(4))
+
+
+def _check_multidegree(cid, value: dict) -> None:
+    """Raise ``CatalogError`` unless every key of the nonzero ``value`` lies
+    in the eight site fields and has the sitewise degrees of
+    ``cid.multidegree``.
+
+    This is as strict as ``Polynomial.multidegree`` and cheaper: it builds
+    no polynomial and no tuple per key.  A key in 0..2^32 - 1 holds only
+    the site fields, and for it (key & _LOW) + ((key >> _W) & _LOW) holds
+    in byte j the degree e_{j,0} + e_{j,1} of site j + 1.  That degree is
+    at most 30, so no byte carries into the next, and two keys' packed
+    degrees are equal exactly when all four site degrees are."""
+    if min(value) < 0 or max(value) >> (8 * _W):
+        raise CatalogError(
+            f"{cid}: evaluated multidegree undefined: a key lies outside the eight site fields"
+        )
+    degrees = {(k & _LOW) + ((k >> _W) & _LOW) for k in value}
+    if degrees != {_packed(cid.multidegree)}:
+        found = ", ".join(str(_unpacked(p)) for p in sorted(degrees))
+        raise CatalogError(f"{cid}: evaluated multidegree {found} != declared {cid.multidegree}")
+
+
+def _pattern_feeds(selectors, pattern) -> tuple:
+    """The (offset, a_b * f) pairs that an rhs key with the exponent pattern
+    ``pattern`` feeds, over the ``selectors`` of one index (see
+    ``EvalSession._selectors_of``), keeping the amplitudes whose factor f is
+    nonzero: f is the product of the pattern's exponents of x_{k,1-b_k}
+    over the index sites (see ``EvalSession._transvect_ground``)."""
+    feeds = []
+    for shifts, group in selectors:
+        f = 1
+        for shift in shifts:
+            f *= (pattern >> shift) & _FIELD
+        if f:
+            feeds += [(offset, a * f) for offset, a in group.items()]
+    return tuple(feeds)
 
 
 class EvalSession:
@@ -399,6 +466,13 @@ class EvalSession:
     signatures read these values directly, since a nonzero scale changes
     no zero test; ``eval`` divides by lam_C * q^adeg.
 
+    The feeds memo: on exact states the session keeps, per index idx and
+    index-site exponent pattern, the (offset, a_b * f) pairs the kernel
+    adds for every rhs term of that pattern (``_transvect_ground`` proves
+    that the pattern fixes them).  It is built from the session's own
+    amplitudes, so it lives and dies with the session, as the values do;
+    a new session on another state starts with an empty memo.
+
     Float states are not scaled: they sum the catalog's own coefficients.
     ``_bit`` compares magnitudes with the absolute ``FLOAT_TOLERANCE``, so
     lam_C * C could cross it where C does not, and the factors 1/3 and 6
@@ -413,6 +487,7 @@ class EvalSession:
         self.scale = state.scale
         self._amps = state.cleared
         self._selectors = {}
+        self._feeds = {}
         # With no index site, the one selector's group is the ground form
         # itself, in increasing b.
         self._values = {GROUND_ID: {
@@ -429,7 +504,7 @@ class EvalSession:
         selectors = self._selectors.get(idx)
         if selectors is not None:
             return selectors
-        entries, shifts = _INDEX_TABLES[idx]
+        entries, shifts, _ = _INDEX_TABLES[idx]
         amps = self._amps
         groups = {}
         for sel, b, offset, odd in entries:
@@ -459,51 +534,71 @@ class EvalSession:
         d_k - m_k if b_k = 1.  So the term (key, c) of rhs and the amplitude
         a_b give a_b * f * c at key + offset_b, where f is the product of
         the exponents of x_{k,1-b_k} in key over the index sites, and
-        offset_b and the sign are those of ``_index_table``.  f depends on
-        b only through its selector, so for each selector and rhs term it
-        is formed once, and the term's products with all the selector's
-        amplitudes follow.
+        offset_b and the sign are those of ``_index_table``.
 
-        One loop serves every state.  For each selector, in increasing
-        order, the derivative of rhs multiplies each c by its exponents one
-        index site at a time, in increasing k, and drops the terms with a
-        zero exponent.  Exact states (int, cleared ``Fraction``, Gaussian)
-        add every coef * a * c straight into acc, where coef, an integer
-        term coefficient, is +1 or -1; a sum that cancels stays in acc as
-        a zero until ``_value`` drops it, once per covariant.  Float states
-        must keep the literal expansion's sums: increasing selector is the
-        expansion's order, the site by site products are its derivative's
-        roundings, each selector's product is formed by ``_mul_raw`` and
-        summed by ``_add_scaled`` into the term, and the term, scaled by
-        the catalog's coefficient, is added into acc by ``_add_scaled``, as
-        the expansion's own products and sums were.  Each float value then
-        has the roundings, key order and dropped zeros of the literal
-        expansion; a signed amplitude changes no rounding, because IEEE
-        products and sums are symmetric in sign."""
-        float_mode = self.float_mode
-        term = {} if float_mode else acc
+        Exact states (int, cleared ``Fraction``, Gaussian): one loop over
+        the terms of rhs.  f reads only the exponents of key at the index
+        sites, which are ``key & key_mask`` (both fields of every index
+        site, see ``_index_table``),
+        so the pattern, not the key, fixes f for every b; offset_b and the
+        signed a_b are constants of the session.  The session therefore
+        keeps, per idx and pattern, the (offset_b, a_b * f) pairs with
+        f != 0 (``_pattern_feeds``), built on the first key of that pattern,
+        and each term adds a_b * f * coef * c at key + offset_b straight
+        into acc, where coef, an integer term coefficient, is +1 or -1.
+        The memo reads the session's amplitudes, so it is the session's
+        own, as its values are.  The products are those of the selector
+        expansion, only summed in another order: exact sums do not depend
+        on their order, a sum that cancels stays in acc as a zero until
+        ``_value`` drops it, once per covariant, and only the order of the
+        keys in acc changes.  No exact output reads that order: ``eval``
+        returns a ``Polynomial``, which prints its terms sorted and
+        compares as a dict, and every bit is a zero test.
+
+        Float states must keep the literal expansion's sums: one loop over
+        the selectors in increasing order, which is the expansion's order.
+        The derivative of rhs multiplies each c by its exponents one index
+        site at a time, in increasing k, as the expansion's derivative
+        rounds, and drops the terms with a zero exponent; each selector's
+        product is formed by ``_mul_raw`` and summed by ``_add_scaled``
+        into the term, and the term, scaled by the catalog's coefficient,
+        is added into acc by ``_add_scaled``, as the expansion's own
+        products and sums were.  Each float value then has the roundings,
+        key order and dropped zeros of the literal expansion; a signed
+        amplitude changes no rounding, because IEEE products and sums are
+        symmetric in sign."""
+        if self.float_mode:
+            term = {}
+            for shifts, group in self._selectors_of(idx):
+                derivative = {}
+                for key, c in rhs.items():
+                    for shift in shifts:
+                        e = (key >> shift) & _FIELD
+                        if not e:
+                            break
+                        c = c * e
+                    else:
+                        derivative[key] = c
+                if derivative:
+                    _add_scaled(term, _mul_raw(group, derivative), 1)
+            return _add_scaled(acc, term, coef)
+        memo = self._feeds.get(idx)
+        if memo is None:
+            memo = self._feeds[idx] = {}
+        selectors = self._selectors_of(idx)
+        key_mask = _INDEX_TABLES[idx][2]
         get = acc.get
-        for shifts, group in self._selectors_of(idx):
-            derivative = {}
-            for key, c in rhs.items():
-                for shift in shifts:
-                    e = (key >> shift) & _FIELD
-                    if not e:
-                        break
-                    c = c * e
-                else:
-                    derivative[key] = c
-            if not derivative:
-                continue
-            if float_mode:
-                _add_scaled(term, _mul_raw(group, derivative), 1)
-                continue
-            for offset, a in group.items():
-                a = coef * a
-                for key, c in derivative.items():
-                    k = key + offset
-                    acc[k] = get(k, 0) + a * c
-        return _add_scaled(acc, term, coef) if float_mode else acc
+        for key, c in rhs.items():
+            pattern = key & key_mask
+            feeds = memo.get(pattern)
+            if feeds is None:
+                feeds = memo[pattern] = _pattern_feeds(selectors, pattern)
+            if coef != 1:
+                c = coef * c
+            for offset, af in feeds:
+                k = key + offset
+                acc[k] = get(k, 0) + af * c
+        return acc
 
     def eval(self, cid) -> Polynomial:
         """The covariant ``cid`` on the session's state, in a new dict (the
@@ -524,7 +619,8 @@ class EvalSession:
         that cancelled are dropped here, once per covariant.  The kernel
         repeats none of the load-time checks, so this is the one place a
         value is checked: once per covariant, a nonzero value must be
-        multihomogeneous of the declared multidegree."""
+        multihomogeneous of the declared multidegree
+        (``_check_multidegree``), or ``CatalogError`` is raised."""
         value = self._values.get(cid)
         if value is not None:
             return value
@@ -539,11 +635,7 @@ class EvalSession:
         if 0 in value.values():
             value = {k: c for k, c in value.items() if c}
         if value:
-            md = Polynomial(value).multidegree()
-            if md != cid.multidegree:
-                raise CatalogError(
-                    f"{cid}: evaluated multidegree {md} != declared {cid.multidegree}"
-                )
+            _check_multidegree(cid, value)
         self._values[cid] = value
         return value
 

@@ -26,6 +26,21 @@ class StateError(Exception):
     pass
 
 
+# Floats and Gaussian rationals do not multiply (``GaussianRational`` is
+# exact), so no state, operator or action may mix them.
+_FLOAT_GAUSSIAN = "float mode does not support complex amplitudes"
+
+
+def _check_no_mix(scalars) -> None:
+    """Raise ``StateError`` if ``scalars`` hold both a float and a
+    GaussianRational."""
+    scalars = tuple(scalars)
+    if any(isinstance(a, float) for a in scalars) and any(
+        isinstance(a, GaussianRational) for a in scalars
+    ):
+        raise StateError(_FLOAT_GAUSSIAN)
+
+
 def _bits(b: int):
     return (b & 1, (b >> 1) & 1, (b >> 2) & 1, (b >> 3) & 1)
 
@@ -65,7 +80,7 @@ class State:
             elif isinstance(a, GaussianRational):
                 gaussian = True
         if floats and gaussian:
-            raise StateError("float mode does not support complex amplitudes")
+            raise StateError(_FLOAT_GAUSSIAN)
         self.amps = amps
         self.float_mode = floats
         if q == 1 or floats or gaussian:
@@ -202,7 +217,10 @@ def encode_form(s: State) -> int:
 
 
 class LocalOperator:
-    """One invertible 2x2 matrix per site, of the scalar kinds a ``State`` accepts."""
+    """One invertible 2x2 matrix per site, of the scalar kinds a ``State``
+    accepts.  As in a ``State``, no matrix holds both a float and a
+    Gaussian rational; different sites may, and ``apply_local`` rejects
+    the mix when it acts."""
 
     __slots__ = ("factors",)
 
@@ -214,6 +232,7 @@ class LocalOperator:
                 raise StateError(f"factor {k} is not a 2x2 matrix")
             for e in m[0] + m[1]:
                 _check_scalar(e, f"factor {k} entry")
+            _check_no_mix(m[0] + m[1])
             if not _det2(m):
                 raise StateError(f"factor {k} is singular")
             factors.append(m)
@@ -224,6 +243,8 @@ class LocalOperator:
 
     def compose(self, other: "LocalOperator") -> "LocalOperator":
         """Sitewise matrix product self . other."""
+        for a, b in zip(self.factors, other.factors):
+            _check_no_mix(a[0] + a[1] + b[0] + b[1])
         return LocalOperator(*(
             _matmul2(a, b) for a, b in zip(self.factors, other.factors)
         ))
@@ -246,7 +267,10 @@ def _matmul2(a, b):
 
 
 def apply_local(g: LocalOperator, s: State) -> State:
-    """Tensor action (g1 (x) g2 (x) g3 (x) g4)|s>, one site at a time."""
+    """Tensor action (g1 (x) g2 (x) g3 (x) g4)|s>, one site at a time; a
+    float operator on a Gaussian state, or the reverse, is rejected as a
+    ``State`` with both kinds is."""
+    _check_no_mix((*(e for m in g.factors for e in m[0] + m[1]), *s.amps))
     amps = list(s.amps)
     for k, m in enumerate(g.factors):
         _act_on_site(amps, k, m)

@@ -295,17 +295,35 @@ def test_evaluated_multihomogeneity(catalog):
 
 def test_value_rejects_wrong_multidegree(catalog, monkeypatch):
     # The kernel checks nothing, so _value's per-covariant check is what
-    # stops a value of the wrong multidegree: shift every kernel result by
-    # x1_0, which makes B_0000 = (1/2)(A, A)^1111 of multidegree (1, 0, 0, 0).
+    # stops a value of the wrong multidegree, and it raises CatalogError,
+    # never NonHomogeneousError, on each kind of bad value: shift every
+    # kernel result by x1_0, which makes B_0000 = (1/2)(A, A)^1111 of
+    # multidegree (1, 0, 0, 0); add an x1_0 term beside its constant, which
+    # mixes two multidegrees; add a t_0 term, which lies outside the eight
+    # site fields.
     kernel = EvalSession._transvect_ground
+    bad_values = {
+        "shifted": (
+            lambda v: {k + 1: c for k, c in v.items()},
+            r"B_0000: evaluated multidegree \(1, 0, 0, 0\) != declared \(0, 0, 0, 0\)",
+        ),
+        "mixed": (
+            lambda v: {**v, 1: 1},
+            r"B_0000: evaluated multidegree \(0, 0, 0, 0\), \(1, 0, 0, 0\) != declared",
+        ),
+        "t variable": (
+            lambda v: {**v, 1 << (8 * _W): 1},
+            r"B_0000: evaluated multidegree undefined: a key lies outside the eight site fields",
+        ),
+    }
+    for edit, message in bad_values.values():
+        def edited(self, acc, terms, idx, coef, edit=edit):
+            return edit(kernel(self, acc, terms, idx, coef))
 
-    def shifted(self, acc, terms, idx, coef):
-        return {k + 1: c for k, c in kernel(self, acc, terms, idx, coef).items()}
-
-    monkeypatch.setattr(EvalSession, "_transvect_ground", shifted)
-    sess = catalog.session(random_state(17))
-    with pytest.raises(CatalogError, match=r"B_0000: evaluated multidegree \(1, 0, 0, 0\)"):
-        sess.eval("B_0000")
+        monkeypatch.setattr(EvalSession, "_transvect_ground", edited)
+        sess = catalog.session(random_state(17))
+        with pytest.raises(CatalogError, match=message):
+            sess.eval("B_0000")
 
 
 def test_signature_sl_invariance(catalog):
@@ -474,6 +492,41 @@ class _OracleSession(EvalSession):
         if self.scale == 1 or not value:
             return Polynomial(value)
         return Polynomial(_scale_raw(value, Fraction(1, self.scale ** self.catalog.defs[cid].adeg)))
+
+
+def test_sessions_keep_their_own_memo(catalog):
+    """The exact kernel's memo of feeds (offsets and signed amplitudes per
+    index-site exponent pattern) reads the session's amplitudes, so it must
+    be the session's own: two sessions on states of one scalar kind,
+    evaluated covariant by covariant in turn, give every value a fresh
+    session gives, key for key and in the same key order, and the fresh
+    session gives the oracle's value, which no memo shared between
+    sessions could.  Int, Fraction and Gaussian states."""
+    i = GaussianRational(0, 1)
+    records = orbit_records()
+    w, secant = records[59520].normal_form, records[65257].normal_form
+    pairs = {
+        "int": (random_state(1), random_state(2)),
+        "Fraction": tuple(
+            State([Fraction(a, 1 + b % 3) for b, a in enumerate(random_state(seed).amps)])
+            for seed in (3, 4)
+        ),
+        "Gaussian": (
+            State([i * a for a in w.amps]),
+            State([i * a + b % 2 for b, a in enumerate(secant.amps)]),
+        ),
+    }
+    for kind, states in pairs.items():
+        sessions = [catalog.session(s) for s in states]
+        for cid in catalog.order:
+            for sess in sessions:
+                sess._value(cid)
+        for s, sess in zip(states, sessions):
+            fresh, oracle = catalog.session(s), _OracleSession(catalog, s)
+            for cid in catalog.order:
+                got, want = sess._value(cid), fresh._value(cid)
+                assert list(got.items()) == list(want.items()), (kind, s, cid)
+                assert fresh.eval(cid) == oracle.eval(cid), (kind, s, cid)
 
 
 def _read_all(sess):

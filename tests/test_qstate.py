@@ -292,6 +292,40 @@ def test_local_operator_accepts_state_scalar_kinds():
     assert LocalOperator(bools, _EYE, _EYE, _EYE).determinants() == (1, 1, 1, 1)
 
 
+def test_local_operator_rejects_float_beside_gaussian():
+    """A float and a Gaussian entry in one matrix do not multiply, so the
+    operator is rejected when built, with the message of a ``State`` that
+    mixes them, and not by a ``TypeError`` from its determinant."""
+    i = GaussianRational(0, 1)
+    with pytest.raises(StateError, match="float mode does not support complex amplitudes"):
+        LocalOperator(((1.0, i), (0, 1)), _EYE, _EYE, _EYE)
+    with pytest.raises(StateError, match="float mode does not support complex amplitudes"):
+        LocalOperator(((1.0, 0), (0, 1)), _EYE, _EYE, _EYE).compose(
+            LocalOperator(((1, i), (0, 1)), _EYE, _EYE, _EYE)
+        )
+
+
+def test_apply_local_rejects_float_beside_gaussian():
+    """A float operator on a Gaussian state, a Gaussian operator on a float
+    state, and an operator with float and Gaussian sites (which builds) all
+    raise ``StateError`` when they act, as a ``State`` with both kinds
+    does, and not a ``TypeError`` from the arithmetic."""
+    i = GaussianRational(0, 1)
+    w = decode_form(59520)
+    gauss = State([i * a for a in w.amps])
+    floats = State([float(a) for a in w.amps])
+    diag = LocalOperator(((2.0, 0.0), (0.0, 1.0)), _EYE, _EYE, _EYE)
+    shear = LocalOperator(((1, i), (0, 1)), _EYE, _EYE, _EYE)
+    both = LocalOperator(((2.0, 0.0), (0.0, 1.0)), ((1, i), (0, 1)), _EYE, _EYE)
+    for g, s in ((diag, gauss), (shear, floats), (both, w)):
+        with pytest.raises(StateError, match="float mode does not support complex amplitudes"):
+            apply_local(g, s)
+    assert apply_local(diag, floats).float_mode
+    assert apply_local(shear, gauss) == State(
+        [i * a for a in apply_local(LocalOperator(((1, i), (0, 1)), _EYE, _EYE, _EYE), w).amps]
+    )
+
+
 def test_permute_form():
     sigma = QubitPermutation((1, 2, 4, 3))
     n = encode_form(ket_state((0, 0, 1, 0)))
