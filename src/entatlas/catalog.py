@@ -12,14 +12,14 @@ counts (170 covariants in degrees 1..12).
 every intermediate value as a plain ``{monomial key: coefficient}`` dict
 (the ``poly`` packing); a ``Polynomial`` is built only by the public
 ``eval``.  Amplitudes are substituted first, so all intermediates are
-small polynomials in the 8 base variables.  Rational amplitudes are first
-scaled to integers, and on every exact state the session memoizes
-lam_C * C, where the integer lam_C (1 for A, 2 or 6 for the rest) is
-derived at load together with integer term coefficients, so integer
-states are evaluated in ``int`` arithmetic only; float states keep the
-catalog's own coefficients and their summation order (see
-``EvalSession`` for both proofs).  Because of the validated term shape,
-one kernel evaluates every term, and it is the package's only
+small polynomials in the 8 base variables.  Rational and float
+amplitudes are first scaled to integers (a finite float is a dyadic
+rational), and the session memoizes lam_C * C, where the integer lam_C
+(1 for A, 2 or 6 for the rest) is derived at load together with integer
+term coefficients, so int, ``Fraction`` and float states are evaluated in
+``int`` arithmetic only, and a float state's results are rounded once, at
+the end (see ``EvalSession`` for the proofs).  Because of the validated
+term shape, one kernel evaluates every term, and it is the package's only
 transvection: the ground-form-specialized ``EvalSession._transvect_ground``.
 The ground form is multilinear, so each of its amplitudes meets Omega at
 an index site in one way only (the per-site rule, proved there): a term
@@ -27,18 +27,15 @@ an index site in one way only (the per-site rule, proved there): a term
 from key, where the factor f is a product of the exponents of key at the
 index sites.  Those exponents are ``key & key_mask``, the key's pattern on
 both fields of every index site, so the pattern fixes f for every b, and
-the offsets and signed amplitudes are constants of the state.  On exact
-states each session therefore memoizes, per index and pattern, the
-(offset, a_b * f) pairs with f != 0, and the kernel is one loop over the
-terms of rhs that adds each pair's product straight into the
-covariant's one sum.  That changes only the order of exact sums and of
-the keys in a value, which no output reads (``Polynomial`` prints its
-terms sorted, and bits are zero tests).  Float states keep the literal
-expansion's order and roundings: per group of amplitudes with the same
-bits on the index sites, the one derivative of rhs it needs, multiplied
-out and summed as the expansion does.  The tests pin the kernel against
-the literal Omega process, which they keep as an oracle
-(``tests/omega_oracle.py``), on every scalar kind.
+the offsets and signed amplitudes are constants of the state.  Each
+session therefore memoizes, per index and pattern, the (offset, a_b * f)
+pairs with f != 0, and the kernel is one loop over the terms of rhs that
+adds each pair's product straight into the covariant's one sum.  That
+changes only the order of exact sums and of the keys in a value, which no
+output reads (``Polynomial`` prints its terms sorted, and bits are zero
+tests).  The tests pin the kernel against the literal Omega process,
+which they keep as an oracle (``tests/omega_oracle.py``), on every scalar
+kind.
 The kernel trusts the load-time checks and repeats none of them; the one
 check left at evaluation runs once per covariant, where its value is
 memoized (``EvalSession._value``): every key lies in the eight site
@@ -74,7 +71,6 @@ from math import gcd, lcm
 
 from .poly import _FIELD, _W, Polynomial
 from .qstate import State
-from .scalars import exact_quotient
 
 CATALOG_SHA256 = "463be493fd9067b5eed551d7b06d3fb79c7d86bcf32a20ed053606ac8ec537f6"
 
@@ -301,44 +297,6 @@ def build_catalog() -> Catalog:
     return _cached
 
 
-def _mul_raw(a: dict, b: dict) -> dict:
-    """The product of two {key: coefficient} dicts, with no check of the
-    exponent bound: the catalog's site degrees are at most 6, so its keys
-    stay in range."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            s = get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _add_scaled(acc: dict, terms: dict, c) -> dict:
-    """acc + c * terms, updating acc in place; the float kernels' one sum.
-
-    Keys are met in the order of ``terms`` and a key whose sum is zero is
-    dropped, so the result has the values and key order of scaling a copy
-    of ``terms`` by c, dropping its zeros, and adding it into acc.  On
-    floats, c = 1 and c = -1 change no rounding."""
-    get = acc.get
-    for k, v in terms.items():
-        s = get(k, 0) + v * c
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-    return acc
-
-
 def _index_table(idx) -> tuple:
     """The state-free part of the kernel for the index ``idx``:
     (entries, shifts, key_mask).
@@ -438,19 +396,19 @@ class EvalSession:
     wraps one in a ``Polynomial``.
 
     Cleared denominators: on a state whose amplitudes are all rational
-    (``int`` or ``Fraction``), the session evaluates the catalog on the
-    integer amplitudes q*A, q the lcm of their denominators, which the
-    state computed when it was built (``State.scale`` and
-    ``State.cleared``).  This is exact.  Every covariant C is
-    homogeneous of degree ``adeg`` in the amplitudes: a term (A, X)^idx is
-    bilinear in A and X, and ``Catalog._validate`` checks at load that all
-    terms of an entry have the same degree, so by induction over the DAG
-    C(qA) = q^adeg * C(A).  Float and Gaussian states are evaluated as
-    given (``scale`` 1).
+    (``int``, ``Fraction`` or float, since a finite float is a dyadic
+    rational), the session evaluates the catalog on the integer amplitudes
+    q*A, q the lcm of their exact denominators, which the state computed
+    when it was built (``State.scale`` and ``State.cleared``).  This is
+    exact.  Every covariant C is homogeneous of degree ``adeg`` in the
+    amplitudes: a term (A, X)^idx is bilinear in A and X, and
+    ``Catalog._validate`` checks at load that all terms of an entry have
+    the same degree, so by induction over the DAG C(qA) = q^adeg * C(A).
+    Gaussian states are evaluated as given (``scale`` 1).
 
-    Integer-scaled values: on every exact state (int, cleared ``Fraction``
-    or Gaussian) the memoized value of C is lam_C * C, with lam_C and the
-    term coefficients k_t = lam_C * coef_t / lam_X from
+    Integer-scaled values: on every state the memoized value of C is
+    lam_C * C, with lam_C and the term coefficients
+    k_t = lam_C * coef_t / lam_X from
     ``Catalog._validate``, so the catalog's 1/2 and 1/3 never enter and an
     integer state never builds a ``Fraction``.  Each k_t is an integer,
     because lam_C is the lcm of the reduced denominators of the
@@ -466,19 +424,21 @@ class EvalSession:
     signatures read these values directly, since a nonzero scale changes
     no zero test; ``eval`` divides by lam_C * q^adeg.
 
-    The feeds memo: on exact states the session keeps, per index idx and
-    index-site exponent pattern, the (offset, a_b * f) pairs the kernel
-    adds for every rhs term of that pattern (``_transvect_ground`` proves
+    The feeds memo: the session keeps, per index idx and index-site
+    exponent pattern, the (offset, a_b * f) pairs the kernel adds for
+    every rhs term of that pattern (``_transvect_ground`` proves
     that the pattern fixes them).  It is built from the session's own
     amplitudes, so it lives and dies with the session, as the values do;
     a new session on another state starts with an empty memo.
 
-    Float states are not scaled: they sum the catalog's own coefficients.
-    ``_bit`` compares magnitudes with the absolute ``FLOAT_TOLERANCE``, so
-    lam_C * C could cross it where C does not, and the factors 1/3 and 6
-    round differently from 1/3 alone.  Unscaled, and summed in the
-    order of the Omega expansion (see ``_transvect_ground``), every float
-    value is the catalog's own sum, so are the bits and ``min_margin``.
+    Float states: the memoized values are the exact integers
+    lam_C * q^adeg * C, by the two inductions above, so the order in which
+    the kernel sums them changes nothing.  Each result is rounded once:
+    ``eval`` and ``_bit`` divide by lam_C * q^adeg with
+    ``State.unscaled``, whose int true division rounds the exact quotient
+    correctly.  A float value is therefore
+    the nearest float to C on the amplitudes as given, and its bit and
+    margin are ``FLOAT_TOLERANCE``'s rule applied to that value.
     """
 
     def __init__(self, catalog: Catalog, state: State):
@@ -486,6 +446,7 @@ class EvalSession:
         self.float_mode = state.float_mode
         self.scale = state.scale
         self._amps = state.cleared
+        self._unscaled = state.unscaled
         self._selectors = {}
         self._feeds = {}
         # With no index site, the one selector's group is the ground form
@@ -518,7 +479,9 @@ class EvalSession:
         """acc + coef * (A, rhs)^idx with idx in {0,1}^4, by the per-site
         rule, updating acc in place.
 
-        A is the session's ground form, the one on the cleared amplitudes.
+        A is the session's ground form, the one on the cleared amplitudes;
+        its coefficients are integers on int, ``Fraction`` and float
+        states, and Gaussian rationals on Gaussian states.
         The caller guarantees what ``Catalog._validate`` proves for every
         catalog term: idx fits the degrees of A and rhs, and the result,
         when nonzero, has the multidegree the degree law gives.
@@ -536,52 +499,24 @@ class EvalSession:
         the exponents of x_{k,1-b_k} in key over the index sites, and
         offset_b and the sign are those of ``_index_table``.
 
-        Exact states (int, cleared ``Fraction``, Gaussian): one loop over
-        the terms of rhs.  f reads only the exponents of key at the index
-        sites, which are ``key & key_mask`` (both fields of every index
-        site, see ``_index_table``),
-        so the pattern, not the key, fixes f for every b; offset_b and the
+        One loop over the terms of rhs.  f reads only the exponents of key
+        at the index sites, which are ``key & key_mask`` (both fields of
+        every index site, see ``_index_table``), so the pattern, not the
+        key, fixes f for every b; offset_b and the
         signed a_b are constants of the session.  The session therefore
         keeps, per idx and pattern, the (offset_b, a_b * f) pairs with
         f != 0 (``_pattern_feeds``), built on the first key of that pattern,
         and each term adds a_b * f * coef * c at key + offset_b straight
         into acc, where coef, an integer term coefficient, is +1 or -1.
         The memo reads the session's amplitudes, so it is the session's
-        own, as its values are.  The products are those of the selector
+        own, as its values are.  The products are those of the Omega
         expansion, only summed in another order: exact sums do not depend
         on their order, a sum that cancels stays in acc as a zero until
         ``_value`` drops it, once per covariant, and only the order of the
         keys in acc changes.  No exact output reads that order: ``eval``
         returns a ``Polynomial``, which prints its terms sorted and
-        compares as a dict, and every bit is a zero test.
-
-        Float states must keep the literal expansion's sums: one loop over
-        the selectors in increasing order, which is the expansion's order.
-        The derivative of rhs multiplies each c by its exponents one index
-        site at a time, in increasing k, as the expansion's derivative
-        rounds, and drops the terms with a zero exponent; each selector's
-        product is formed by ``_mul_raw`` and summed by ``_add_scaled``
-        into the term, and the term, scaled by the catalog's coefficient,
-        is added into acc by ``_add_scaled``, as the expansion's own
-        products and sums were.  Each float value then has the roundings,
-        key order and dropped zeros of the literal expansion; a signed
-        amplitude changes no rounding, because IEEE products and sums are
-        symmetric in sign."""
-        if self.float_mode:
-            term = {}
-            for shifts, group in self._selectors_of(idx):
-                derivative = {}
-                for key, c in rhs.items():
-                    for shift in shifts:
-                        e = (key >> shift) & _FIELD
-                        if not e:
-                            break
-                        c = c * e
-                    else:
-                        derivative[key] = c
-                if derivative:
-                    _add_scaled(term, _mul_raw(group, derivative), 1)
-            return _add_scaled(acc, term, coef)
+        compares as a dict, and every bit is a zero test (a float state's
+        values are exact integers, rounded only by ``eval`` and ``_bit``)."""
         memo = self._feeds.get(idx)
         if memo is None:
             memo = self._feeds[idx] = {}
@@ -602,18 +537,25 @@ class EvalSession:
 
     def eval(self, cid) -> Polynomial:
         """The covariant ``cid`` on the session's state, in a new dict (the
-        memo is not handed out)."""
+        memo is not handed out).  On a float state each coefficient is
+        rounded once, one that rounds to 0.0 is dropped, and one past the
+        float range raises ``OverflowError``."""
         if isinstance(cid, str):
             cid = CovariantId.parse(cid)
         value = self._value(cid)
+        div = self._divisor(cid)
+        unscaled = self._unscaled
+        return Polynomial({k: r for k, c in value.items() if (r := unscaled(c, div))})
+
+    def _divisor(self, cid) -> int:
+        """lam_C * q^adeg: the memoized value of ``cid`` over the covariant
+        itself (see the class docstring)."""
         d = self.catalog.defs[cid]
-        div = self.scale ** d.adeg * (1 if self.float_mode else d.lam)
-        return Polynomial({k: exact_quotient(c, div) for k, c in value.items()})
+        return self.scale ** d.adeg * d.lam
 
     def _value(self, cid) -> dict:
         """The memoized terms of covariant ``cid`` on the cleared amplitudes:
-        lam_C times the covariant on exact states, the covariant itself on
-        float states (see the class docstring).
+        lam_C times the covariant (see the class docstring).
 
         Every term adds into one dict (``_transvect_ground``), and the sums
         that cancelled are dropped here, once per covariant.  The kernel
@@ -628,9 +570,8 @@ class EvalSession:
         if d is None:
             raise CatalogError(f"unknown covariant id {cid}")
         value = {}
-        coefs = [t[0] for t in d.terms] if self.float_mode else d.int_coefs
         # validated: every term is (A, rhs)^idx
-        for coef, (_, _, rhs, idx) in zip(coefs, d.terms):
+        for coef, (_, _, rhs, idx) in zip(d.int_coefs, d.terms):
             value = self._transvect_ground(value, self._value(rhs), idx, coef)
         if 0 in value.values():
             value = {k: c for k, c in value.items() if c}
@@ -644,12 +585,21 @@ class EvalSession:
 
         The group's multidegrees are pairwise distinct (see ``bits``), so
         exact mode tests whether any value has terms.  Float mode: the
-        largest coefficient magnitude over the values is compared with
-        ``FLOAT_TOLERANCE``, and the ratio is recorded as a margin."""
+        largest coefficient magnitude over the values, rounded once as
+        ``eval`` rounds it, is compared with ``FLOAT_TOLERANCE``, and the
+        ratio is recorded as a margin; a magnitude past the float range
+        reads as inf."""
         values = [self._value(cid) for cid in group]
         if not self.float_mode:
             return 1 if any(values) else 0
-        mag = max((abs(float(c)) for terms in values for c in terms.values()), default=0.0)
+        mag = 0.0
+        for cid, terms in zip(group, values):
+            if terms:
+                top = max(map(abs, terms.values()))
+                try:
+                    mag = max(mag, self._unscaled(top, self._divisor(cid)))
+                except OverflowError:
+                    mag = float("inf")
         if mag > FLOAT_TOLERANCE:
             self.min_margin = min(self.min_margin, mag / FLOAT_TOLERANCE)
             return 1

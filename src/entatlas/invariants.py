@@ -39,9 +39,11 @@ R(t) = det Hess_x(b_xt) = 4 m0(t) m2(t) - m1(t)^2.
 
 Cleared denominators.  B, L, M, N, the Gram entries, D_uv and R are
 homogeneous in the amplitudes, of degree 2, 4, 4, 4, 2, 6 and 4.  On a
-state with rational amplitudes each is computed on the integers q*a
-that the state holds (``State.cleared``, q = ``State.scale``) and divided
-once by q^degree: f(a) = f(q a) / q^deg.
+state with rational or float amplitudes each is computed on the integers
+q*a that the state holds (``State.cleared``, q = ``State.scale``) and
+divided once by q^degree: f(a) = f(q a) / q^deg (``State.unscaled``).
+On a float state that quotient is exact and then rounded once, so each
+of these values is the nearest float to its exact value.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _det4(m):
 
 def _quartic_det(s: State, name: str):
     amps = s.cleared
-    return exact_quotient(_det4([[amps[i] for i in row] for row in _FLAT[name]]), s.scale ** 4)
+    return s.unscaled(_det4([[amps[i] for i in row] for row in _FLAT[name]]), s.scale ** 4)
 
 
 def inv_L(s: State):
@@ -165,12 +167,12 @@ def inv_B(s: State):
         a = amps[b]
         if a:
             total = total + sign * a * amps[15 - b]
-    return exact_quotient(total, 2 * s.scale ** 2)
+    return s.unscaled(total, 2 * s.scale ** 2)
 
 
 def inv_D(s: State, pair: str = "xy"):
     """The degree-6 invariant D_uv = det of the 3x3 Gram matrix of b_uv."""
-    return exact_quotient(_det3(_gram(s.cleared, pair)), s.scale ** 6)
+    return s.unscaled(_det3(_gram(s.cleared, pair)), s.scale ** 6)
 
 
 def quartic_coeffs(s: State):
@@ -182,7 +184,7 @@ def quartic_coeffs(s: State):
         for j in range(3):
             r[i + j] = r[i + j] + 4 * m0[i] * m2[j] - m1[i] * m1[j]
     # Built from a list, as in qstate.State.__init__.
-    return tuple([exact_quotient(r[i], comb(4, i) * s.scale ** 4) for i in range(5)])
+    return tuple([s.unscaled(r[i], comb(4, i) * s.scale ** 4) for i in range(5)])
 
 
 def quartic_S_T(cs):

@@ -12,8 +12,9 @@ A monomial is stored as a single Python integer holding one 4-bit exponent
 field per variable (index v occupies bits 4v..4v+3), so an exponent of 16
 would carry into the next variable's field (``x1_0**16`` would read as
 ``x1_1``).  ``monomial`` and ``coefficient`` reject an exponent outside
-0..15 with ``ValueError``; the catalog's evaluation kernels, which own the
-raw dict arithmetic, are unchecked (see ``catalog._mul_raw``).
+0..15 with ``ValueError``; the catalog's evaluation kernel, which owns the
+raw dict arithmetic, is unchecked (see
+``catalog.EvalSession._transvect_ground``).
 A polynomial is a dict mapping monomial keys to nonzero coefficients; the
 zero polynomial is the empty dict.  Coefficients are ints when possible,
 otherwise Fraction or GaussianRational (or float in approximate mode).

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from math import isfinite, lcm
 
-from .scalars import GaussianRational, normalize_scalar
+from .scalars import GaussianRational, exact_quotient, normalize_scalar
 
 
 class StateError(Exception):
@@ -51,11 +51,14 @@ def _index(i1, i2, i3, i4) -> int:
 
 class State:
     """16 amplitudes of a 4-qubit state, indexed by b = i1+2*i2+4*i3+8*i4,
-    cleared once, when built: ``scale`` is q, the lcm of the ``Fraction``
-    denominators, and ``cleared`` the integers q*a (``amps`` itself if q is
-    1 or an amplitude is a float or a Gaussian rational, two kinds that
-    cannot mix).  ``float_mode`` is set when an amplitude is a float; a
-    float must be finite, since no nullity test can read NaN or inf."""
+    cleared once, when built: ``scale`` is q, the lcm of the exact
+    denominators of the ``Fraction`` and float amplitudes, and ``cleared``
+    the integers q*a (``amps`` itself if every amplitude is an int, or if
+    one is a Gaussian rational).  A finite float is a dyadic rational, so
+    its denominator is a power of two and clearing it is exact.
+    ``float_mode`` is set when an amplitude is a float; a float must be
+    finite, since no nullity test can read NaN or inf.  Floats and
+    Gaussian rationals cannot mix."""
 
     __slots__ = ("amps", "scale", "cleared", "float_mode")
 
@@ -77,20 +80,24 @@ class State:
                 q = lcm(q, a.denominator)
             elif isinstance(a, float):
                 floats = True
+                q = lcm(q, a.as_integer_ratio()[1])
             elif isinstance(a, GaussianRational):
                 gaussian = True
         if floats and gaussian:
             raise StateError(_FLOAT_GAUSSIAN)
         self.amps = amps
         self.float_mode = floats
-        if q == 1 or floats or gaussian:
+        if gaussian or (q == 1 and not floats):
             self.scale, self.cleared = 1, amps
         else:
             self.scale = q
-            self.cleared = tuple([
-                a * q if isinstance(a, int) else a.numerator * (q // a.denominator)
-                for a in amps
-            ])
+            self.cleared = tuple([n * (q // d) for n, d in (a.as_integer_ratio() for a in amps)])
+
+    def unscaled(self, x, div: int):
+        """x / div, for an x computed on ``cleared``: exact, and on a float
+        state rounded once to the nearest float, since int true division
+        rounds correctly (past the float range it raises ``OverflowError``)."""
+        return x / div if self.float_mode else exact_quotient(x, div)
 
     def __getitem__(self, b: int):
         return self.amps[b]

@@ -3,7 +3,9 @@
 All exact computation in this package runs over the rationals (Python ints
 and ``fractions.Fraction``) or, for complex amplitudes, over Gaussian
 rationals a + b*i with rational a, b.  Floats are accepted only in the
-opt-in approximate evaluation mode and never enter exact code paths.
+opt-in approximate evaluation mode: a float state is cleared to the exact
+integers of its dyadic amplitudes (``qstate.State``), and only its
+results are rounded to floats.
 
 ``normalize_scalar`` keeps the integer fast path hot: a Fraction with
 denominator 1 collapses back to int, and a Gaussian rational with zero

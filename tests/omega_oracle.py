@@ -24,7 +24,7 @@ t pair also sits at bits 32..39, so an operand must be base-only, and
 
 from __future__ import annotations
 
-from entatlas.catalog import _mul_raw, build_catalog
+from entatlas.catalog import build_catalog
 from entatlas.poly import _FIELD, _W, Polynomial
 from entatlas.qstate import State
 from entatlas.scalars import normalize_scalar
@@ -57,6 +57,27 @@ def _add_raw(a: dict, b: dict) -> dict:
             out[k] = s
         elif k in out:
             del out[k]
+    return out
+
+
+def _mul_raw(a: dict, b: dict) -> dict:
+    """The product of two {key: coefficient} dicts, with no check of the
+    exponent bound: ``Poly.__mul__`` checks it first, and ``transvect``
+    multiplies a primed block by a double-primed one."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from entatlas.catalog import (
     CATALOG_SHA256,
+    FLOAT_TOLERANCE,
     GROUND_ID,
     Catalog,
     CatalogError,
@@ -17,7 +18,6 @@ from entatlas.catalog import (
     V_SPEC,
     VPP_SPEC,
     W_SPEC,
-    _mul_raw,
     _parse_line,
     _read_data,
     split_T,
@@ -35,7 +35,7 @@ from entatlas.poly import _W, Polynomial, x
 from entatlas.scalars import GaussianRational
 
 from conftest import ket_state
-from omega_oracle import Poly, _add_raw, _diff_raw, _scale_raw, to_ground_form, transvect
+from omega_oracle import Poly, _add_raw, _diff_raw, _mul_raw, _scale_raw, to_ground_form, transvect
 
 
 def test_census(catalog):
@@ -249,16 +249,21 @@ def test_cleared_denominators_match_literal_evaluation(catalog, q):
     )
 
 
-def test_gaussian_and_float_states_are_not_cleared(catalog):
-    """Only int/Fraction states are cleared; Gaussian and float states are
-    evaluated as given and keep their labels."""
+def test_float_states_are_cleared_and_gaussian_states_are_not(catalog):
+    """Float states are cleared like Fraction states: here each a/3 in
+    floats is a dyadic rational whose denominator divides 2^54, so the
+    session evaluates the integers 2^54 * a/3.  Gaussian states are
+    evaluated as given.  Both keep their labels."""
     i = GaussianRational(0, Fraction(1, 2))
     for label in (59520, 65257, 65529, 65534):
         nf = orbit_records()[label].normal_form
         gauss = State([i * a for a in nf.amps])
         floats = State([float(a) / 3 for a in nf.amps])
+        assert catalog.session(gauss).scale == 1
+        assert catalog.session(floats).scale == floats.scale == 2 ** 54
+        assert floats.cleared == tuple(int(Fraction(a) * 2 ** 54) for a in floats.amps)
+        assert all(Fraction(a) * 2 ** 54 == c for a, c in zip(floats.amps, floats.cleared))
         for s in (gauss, floats):
-            assert catalog.session(s).scale == 1
             assert classify(s, extended=True).label == label
 
 
@@ -277,8 +282,8 @@ def test_memoization(catalog):
 
 
 def test_eval_returns_a_copy_of_the_memo(catalog):
-    """Editing what eval returns leaves the session's memo alone, also when
-    eval divides by 1 (every float state)."""
+    """Editing what eval returns leaves the session's memo alone, on a
+    float state too, where eval rounds each coefficient."""
     nf = apply_local(random_sl2_tuple(1), decode_form(65257))
     sess = catalog.session(State([float(a) for a in nf.amps]))
     sess.eval("B_2200").terms.clear()
@@ -534,12 +539,30 @@ def _read_all(sess):
     return (sess.signature(EXTENDED_T_IDS), sess.vector_V(), sess.vector_Vpp(), sess.vector_W())
 
 
+class _RoundedOnce(EvalSession):
+    """An exact session whose bits apply the float tolerance rule to its
+    exact values, each coefficient rounded once by ``float``."""
+
+    def _bit(self, group):
+        mag = max(
+            (abs(float(c)) for cid in group for c in self.eval(cid).terms.values()), default=0.0
+        )
+        if mag > FLOAT_TOLERANCE:
+            self.min_margin = min(self.min_margin, mag / FLOAT_TOLERANCE)
+            return 1
+        if mag:
+            self.min_margin = min(self.min_margin, FLOAT_TOLERANCE / mag)
+        return 0
+
+
 def test_float_values_match_unscaled_oracle(catalog):
-    """On float states the session keeps the catalog's coefficients and the
-    Omega sum's order: every value equals the oracle's key for key, in the
-    same key order, and so do the bits and ``min_margin``.  States: an
-    SL2^4 image of each of the 48 nonzero normal forms, in floats, at
-    scales 1e-3, 1 and 1e3."""
+    """A float state's values are its exact values rounded once: its
+    memoized values are ints, every ``eval`` value equals ``float`` of the
+    oracle's value on the same amplitudes as ``Fraction``s, and the bits
+    and ``min_margin`` are the tolerance rule applied to those rounded
+    exact values.  States: an SL2^4
+    image of each of the 48 nonzero normal forms, in floats, at scales
+    1e-3, 1 and 1e3 (the scaled amplitudes are not all integers)."""
     margins = set()
     for label, rec in sorted(orbit_records().items()):
         if not label:
@@ -547,26 +570,17 @@ def test_float_values_match_unscaled_oracle(catalog):
         image = apply_local(random_sl2_tuple(label * 100), rec.normal_form)
         for scale in (1e-3, 1.0, 1e3):
             s = State([float(a) * scale for a in image.amps])
-            sess, oracle = catalog.session(s), _OracleSession(catalog, s)
-            assert _read_all(sess) == _read_all(oracle), (label, scale)
-            assert sess.min_margin == oracle.min_margin, (label, scale)
-            margins.add(sess.min_margin)
+            exact = State([Fraction(a) for a in s.amps])
+            sess, oracle = catalog.session(s), _OracleSession(catalog, exact)
             for cid in catalog.order:
-                got, want = sess._value(cid), oracle._value(cid)
-                assert list(got.items()) == list(want.items()), (label, scale, cid)
+                want = {k: float(c) for k, c in oracle.eval(cid).terms.items()}
+                assert sess.eval(cid).terms == want, (label, scale, cid)
+                assert all(type(c) is int for c in sess._value(cid).values())
+            rounded = _RoundedOnce(catalog, exact)
+            assert _read_all(sess) == _read_all(rounded), (label, scale)
+            assert sess.min_margin == rounded.min_margin, (label, scale)
+            margins.add(sess.min_margin)
     assert len(margins) > 100
-
-
-def test_float_derivative_rounds_site_by_site(catalog):
-    """The float branch multiplies a term's coefficient by its exponents one
-    index site at a time, as the literal expansion differentiates:
-    0.1 * 3 * 5 rounds to 1.5000000000000002, 0.1 * 15 to 1.5."""
-    s = State([1.0] + [0.0] * 15)
-    rhs = Polynomial.monomial(0.1, {x(1, 1): 3, x(2, 1): 5}).terms
-    got = catalog.session(s)._transvect_ground({}, rhs, (1, 1, 0, 0), 1)
-    want = _OracleSession(catalog, s)._omega_term(rhs, (1, 1, 0, 0))
-    assert list(got.items()) == list(want.items())
-    assert list(got.values()) == [0.1 * 3 * 5] != [0.1 * 15]
 
 
 def test_exact_values_match_unscaled_oracle(catalog):

@@ -372,6 +372,38 @@ def test_predicates_agree_with_classifiers_in_float_mode(scale):
     assert answers == {("nilpotent", False), ("nilpotent", True), ("secant", True)}
 
 
+def _float_corpus_outcomes(scale) -> list:
+    """(label, outcome) on the 144 float states made of each of the 48
+    nonzero normal forms and its images under random_sl2_tuple(label*100 + i),
+    i < 2, scaled by ``scale``: the outcome is the extended classifier's
+    label, or None for a ``ClassifyFail``."""
+    out = []
+    for label, rec in sorted(orbit_records().items()):
+        if not label:
+            continue
+        nf = rec.normal_form
+        for s in [nf] + [apply_local(random_sl2_tuple(label * 100 + i), nf) for i in range(2)]:
+            try:
+                got = classify_secant3_extended(State([float(a) * scale for a in s.amps])).label
+            except ClassifyFail:
+                got = None
+            out.append((label, got))
+    return out
+
+
+def test_float_labels_keep_under_large_scales():
+    """A float state is evaluated on its exact dyadic values and each result
+    is rounded once, so scaling the float corpus up by 1e3 or 1e6 changes
+    no label and no ``ClassifyFail``: at every scale, 138 states get their
+    own label, none a wrong one, and 6 fail.  (Scales below 1 meet the
+    absolute tolerances, ROADMAP item 5.)"""
+    at_one = _float_corpus_outcomes(1.0)
+    assert sum(got == label for label, got in at_one) == 138
+    assert sum(got is None for _, got in at_one) == 6
+    for scale in (1e3, 1e6):
+        assert _float_corpus_outcomes(scale) == at_one, scale
+
+
 def test_threads_classify_like_serial():
     """Four threads classifying the 48 nonzero normal forms and one SL2^4
     image of each give the serial labels: each call evaluates in its own

@@ -93,6 +93,31 @@ def test_float_mode_overflow_is_an_input_error(tmp_path, capsys, command, amplit
     assert "Traceback" not in err
 
 
+def test_float_eval_prints_the_exact_value_rounded_once(tmp_path, capsys):
+    """``eval --mode float`` prints each exact coefficient rounded once.
+    L_6000 of 1e200|0000> + |1100> + |0011> + |1111> is exactly 0, and
+    prints 0 (summed in floats, it read nan*x1_0^3*x1_1^3).  B_0000 of
+    1e200 (|0000> + |1111>) is about 1e400, past the float range, which is
+    an input error (in floats, it read inf)."""
+    big = 10 ** 200
+    cases = {
+        "L_6000": [big, 0, 0, 1] + [0] * 8 + [1, 0, 0, 1],
+        "B_0000": [big] + [0] * 14 + [big],
+    }
+    for name, amps in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"amplitudes": [[a, 1] for a in amps]}))
+        cases[name] = run(capsys, "eval", "--mode", "float", "--covariant", name, "--in", str(path))
+    code, out, err = cases["L_6000"]
+    assert code == 0, err
+    assert json.loads(out) == {
+        "covariant": "L_6000", "value": "0", "is_zero": True, "multidegree": None
+    }
+    code, out, err = cases["B_0000"]
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_classify_extended(capsys):
     code, out, _ = run(capsys, "classify", "--form", "6014", "--extended")
     assert code == 0

@@ -185,15 +185,17 @@ def _pairing(amps):
 def test_flattening_tables_match_site_assembly():
     """L, M, N and B from the fixed index tables equal, with the same repr
     and type, the determinants of the site-assembled flattenings and the
-    pairing with per-index parity: on int, Fraction (through the cleared
-    amplitudes), Gaussian-rational and float states."""
+    pairing with per-index parity: on int, Fraction and float states
+    (through the cleared amplitudes; a float state's exact quotient n/d is
+    rounded once) and on Gaussian-rational states."""
     ints, fracs, gauss = _gram_test_states()
     floats = [State([float(a) * 0.37 for a in s.amps]) for s in ints + fracs]
     seen_nonzero = [False] * 4
     for s in ints + fracs + gauss + floats:
         q, amps = s.scale, s.cleared
-        want = [exact_quotient(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
-        want.append(exact_quotient(_pairing(amps), 2 * q * q))
+        over = (lambda n, d: n / d) if s.float_mode else exact_quotient
+        want = [over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
+        want.append(over(_pairing(amps), 2 * q * q))
         got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s)]
         assert [(repr(v), type(v)) for v in got] == [(repr(v), type(v)) for v in want], s
         seen_nonzero = [seen or bool(v) for seen, v in zip(seen_nonzero, want)]

@@ -221,18 +221,25 @@ def test_json_malformed():
 
 
 def test_cleared_amplitudes():
-    """A state is cleared when built: a Fraction state holds q, the lcm of
-    its denominators, and the integers q*a; every other state holds
+    """A state is cleared when built: a state of Fraction or float
+    amplitudes holds q, the lcm of their exact denominators (a float's is a
+    power of two), and the integers q*a; an int or Gaussian state holds
     ``scale`` 1 and its own amplitude tuple."""
     s = State([Fraction(1, 2), Fraction(-2, 3), 5, True] + [0] * 12)
     assert (s.scale, s.cleared, s.float_mode) == (6, (3, -4, 30, 6) + (0,) * 12, False)
-    assert all(type(a) is int for a in s.cleared)
+    floats = State([0.5, Fraction(1, 3), 0.1, -3.0] + [0] * 12)
+    assert floats.float_mode and floats.scale == 3 * 2 ** 55
+    assert floats.cleared[:4] == (3 * 2 ** 54, 2 ** 55, 3 * 3602879701896397, -9 * 2 ** 55)
+    assert Fraction(0.1) == Fraction(3602879701896397, 2 ** 55)
+    whole = State([2.0, -1.0] + [0.0] * 14)
+    assert (whole.scale, whole.cleared) == (1, (2, -1) + (0,) * 14)
+    for s in (s, floats, whole):
+        assert all(type(a) is int for a in s.cleared)
+        assert s.cleared == tuple(Fraction(a) * s.scale for a in s.amps)
     bools = State([True, False] * 8)
     gauss = State([GaussianRational(1, 1), Fraction(1, 2)] + [0] * 14)
-    floats = State([0.5, Fraction(1, 3)] + [0] * 14)
-    for s in (random_state(1), bools, gauss, floats):
-        assert s.scale == 1 and s.cleared is s.amps
-        assert s.float_mode is (s is floats)
+    for s in (random_state(1), bools, gauss):
+        assert s.scale == 1 and s.cleared is s.amps and not s.float_mode
     assert [type(a) for a in bools.amps[:2]] == [bool, bool]
 
 

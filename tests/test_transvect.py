@@ -124,30 +124,20 @@ def _states_of_every_kind():
     yield "sparse", State(_sparse_image(decode_form(65257).amps))
 
 
-def _assert_agree(got: dict, want: dict, approximate: bool, where):
-    """Equal dicts; on float states, equal up to 1e-9 of the largest
-    coefficient, since the literal process sums in another order."""
-    if not approximate:
-        assert got == want, where
-        return
-    size = max((abs(c) for c in want.values()), default=0.0)
-    for k in got.keys() | want.keys():
-        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) <= 1e-9 * size, (where, k)
-
-
 def test_ground_specialization_agrees(catalog):
-    """The production kernel equals the literal Omega process on every
-    catalog term, on states of every scalar kind.  The kernel's ground form
-    is the one on the cleared amplitudes, so is the literal one."""
+    """The production kernel equals the literal Omega process exactly on
+    every catalog term, on states of every scalar kind.  Both run on the
+    session's cleared amplitudes and its memoized right operand, lam_X * X,
+    which on a float state are exact integers."""
     for kind, s in _states_of_every_kind():
         sess = catalog.session(s)
         A = to_ground_form(State(s.cleared))
         terms = 0
         for cid in catalog.order:
             for coef, lhs, rhs, idx in catalog.defs[cid].terms:
-                X = sess.eval(rhs)
+                X = Poly(sess._value(rhs))
                 got = _kernel_term(sess, X.terms, idx)
-                _assert_agree(got, transvect(A, X, idx).terms, kind == "float", (kind, cid, idx))
+                assert got == transvect(A, X, idx).terms, (kind, cid, idx)
                 terms += 1
         assert terms == 293
 
