@@ -21,21 +21,15 @@ term coefficients, so int, ``Fraction`` and float states are evaluated in
 the end (see ``EvalSession`` for the proofs).  Because of the validated
 term shape, one kernel evaluates every term, and it is the package's only
 transvection: the ground-form-specialized ``EvalSession._transvect_ground``.
-The ground form is multilinear, so each of its amplitudes meets Omega at
-an index site in one way only (the per-site rule, proved there): a term
-(key, c) of rhs and an amplitude a_b give a_b * f * c at a fixed offset
-from key, where the factor f is a product of the exponents of key at the
-index sites.  Those exponents are ``key & key_mask``, the key's pattern on
-both fields of every index site, so the pattern fixes f for every b, and
-the offsets and signed amplitudes are constants of the state.  Each
-session therefore memoizes, per index and pattern, the (offset, a_b * f)
-pairs with f != 0, and the kernel is one loop over the terms of rhs that
-adds each pair's product straight into the covariant's one sum.  That
-changes only the order of exact sums and of the keys in a value, which no
-output reads (``Polynomial`` prints its terms sorted, and bits are zero
-tests).  The tests pin the kernel against the literal Omega process,
-which they keep as an oracle (``tests/omega_oracle.py``), on every scalar
-kind.
+The ground form is multilinear, so a term (key, c) of rhs and an amplitude
+a_b give a_b * f * c at a fixed offset from key, where f reads only the
+exponents of key at the index sites (the per-site rule, proved there).
+Each session memoizes, per index and exponent pattern, the (offset,
+a_b * f) pairs with f != 0, built from the index table and the cleared
+amplitudes, and the kernel adds them straight into the covariant's one
+sum.  Only the order of exact sums and of a value's keys changes, which
+no output reads.  The tests pin the kernel against the literal Omega
+process (``tests/omega_oracle.py``) on every scalar kind.
 The kernel trusts the load-time checks and repeats none of them; the one
 check left at evaluation runs once per covariant, where its value is
 memoized (``EvalSession._value``): every key lies in the eight site
@@ -299,21 +293,21 @@ def build_catalog() -> Catalog:
 
 def _index_table(idx) -> tuple:
     """The state-free part of the kernel for the index ``idx``:
-    (entries, shifts, key_mask).
+    (entries, key_mask).
 
-    An amplitude a_b meets the index sites through its selector, the bits
-    of b on those sites.  ``entries`` holds one (selector, b, key offset,
-    odd) tuple per b, in increasing (selector, b): the offset is
-    +x_{k,b_k} on the other sites and -x_{k,1-b_k} on the index sites, and
-    ``odd`` is the parity of the number of index sites with b_k = 1.
-    ``shifts[selector]`` holds, for each index site k in increasing k, the
-    bit offset of the exponent field of x_{k,1-b_k}.  ``key_mask`` covers
+    ``entries`` holds one (shifts, b, key offset, odd) tuple per amplitude
+    index b, in increasing (selector, b), where the selector is the bits
+    of b on the index sites.  ``shifts`` holds, for each index site k in
+    increasing k, the bit offset of the exponent field of x_{k,1-b_k}, so
+    it is a function of the selector; the offset is +x_{k,b_k} on the
+    other sites and -x_{k,1-b_k} on the index sites, and ``odd`` is the
+    parity of the number of index sites with b_k = 1.  ``key_mask`` covers
     both exponent fields of every index site, so ``key & key_mask`` is the
     key's exponent pattern on the index sites."""
     sites = [k for k in range(4) if idx[k]]
     mask = sum(1 << k for k in sites)
     entries = []
-    for b in range(16):
+    for b in sorted(range(16), key=lambda b: (b & mask, b)):
         offset = odd = 0
         for k in range(4):
             bit = (b >> k) & 1
@@ -322,13 +316,10 @@ def _index_table(idx) -> tuple:
                 odd ^= bit
             else:
                 offset += 1 << (_W * (2 * k + bit))
-        entries.append((b & mask, b, offset, odd))
-    entries.sort()
-    shifts = {
-        sel: tuple(_W * (2 * k + 1 - ((sel >> k) & 1)) for k in sites) for sel, _, _, _ in entries
-    }
+        shifts = tuple(_W * (2 * k + 1 - ((b >> k) & 1)) for k in sites)
+        entries.append((shifts, b, offset, odd))
     key_mask = sum(_SITE_FIELDS << (2 * _W * k) for k in sites)
-    return tuple(entries), shifts, key_mask
+    return tuple(entries), key_mask
 
 
 # Both exponent fields of site 1, and the x_{k,0} field of every site: the
@@ -373,19 +364,28 @@ def _check_multidegree(cid, value: dict) -> None:
         raise CatalogError(f"{cid}: evaluated multidegree {found} != declared {cid.multidegree}")
 
 
-def _pattern_feeds(selectors, pattern) -> tuple:
-    """The (offset, a_b * f) pairs that an rhs key with the exponent pattern
-    ``pattern`` feeds, over the ``selectors`` of one index (see
-    ``EvalSession._selectors_of``), keeping the amplitudes whose factor f is
-    nonzero: f is the product of the pattern's exponents of x_{k,1-b_k}
-    over the index sites (see ``EvalSession._transvect_ground``)."""
+def _pattern_feeds(entries, amps, pattern) -> tuple:
+    """The (offset, +-a_b * f) pairs that an rhs key with the exponent
+    pattern ``pattern`` feeds, over the ``entries`` of one index table and
+    the cleared amplitudes ``amps``, keeping those with a_b * f nonzero:
+    f is the product of the pattern's exponents of x_{k,1-b_k} over the
+    index sites, and the sign is -1 when ``odd`` (see
+    ``EvalSession._transvect_ground``).  f is computed once per run of
+    equal ``shifts``: f depends only on the index-site bits of b, and
+    entries with equal bits have equal shifts."""
     feeds = []
-    for shifts, group in selectors:
-        f = 1
-        for shift in shifts:
-            f *= (pattern >> shift) & _FIELD
+    last = None
+    for shifts, b, offset, odd in entries:
+        a = amps[b]
+        if not a:
+            continue
+        if shifts != last:
+            last = shifts
+            f = 1
+            for shift in shifts:
+                f *= (pattern >> shift) & _FIELD
         if f:
-            feeds += [(offset, a * f) for offset, a in group.items()]
+            feeds.append((offset, -a * f if odd else a * f))
     return tuple(feeds)
 
 
@@ -424,12 +424,11 @@ class EvalSession:
     signatures read these values directly, since a nonzero scale changes
     no zero test; ``eval`` divides by lam_C * q^adeg.
 
-    The feeds memo: the session keeps, per index idx and index-site
-    exponent pattern, the (offset, a_b * f) pairs the kernel adds for
-    every rhs term of that pattern (``_transvect_ground`` proves
-    that the pattern fixes them).  It is built from the session's own
-    amplitudes, so it lives and dies with the session, as the values do;
-    a new session on another state starts with an empty memo.
+    The feeds memo (``_feeds``), the session's one kernel memo beside the
+    values: per index and index-site exponent pattern, the (offset,
+    a_b * f) pairs the kernel adds for every rhs term of that pattern,
+    read from the index table and the cleared amplitudes
+    (``_pattern_feeds``).  Like the values it is the session's own.
 
     Float states: the memoized values are the exact integers
     lam_C * q^adeg * C, by the two inductions above, so the order in which
@@ -447,33 +446,12 @@ class EvalSession:
         self.scale = state.scale
         self._amps = state.cleared
         self._unscaled = state.unscaled
-        self._selectors = {}
         self._feeds = {}
-        # With no index site, the one selector's group is the ground form
-        # itself, in increasing b.
+        # With no index site every sign is +1, in increasing b.
         self._values = {GROUND_ID: {
-            offset: a for _, group in self._selectors_of((0, 0, 0, 0)) for offset, a in group.items()
+            offset: a for _, b, offset, _ in _INDEX_TABLES[(0, 0, 0, 0)][0] if (a := self._amps[b])
         }}
         self.min_margin = float("inf")
-
-    def _selectors_of(self, idx) -> list:
-        """The nonzero amplitudes grouped by selector (see ``_index_table``),
-        memoized per idx: one (shifts, group) pair per selector, in
-        increasing selector, where ``group`` maps the key offset of each
-        amplitude a_b of the selector, in increasing b, to a_b signed -1 to
-        the number of index sites with b_k = 1."""
-        selectors = self._selectors.get(idx)
-        if selectors is not None:
-            return selectors
-        entries, shifts, _ = _INDEX_TABLES[idx]
-        amps = self._amps
-        groups = {}
-        for sel, b, offset, odd in entries:
-            a = amps[b]
-            if a:
-                groups.setdefault(sel, {})[offset] = -a if odd else a
-        selectors = self._selectors[idx] = [(shifts[sel], group) for sel, group in groups.items()]
-        return selectors
 
     def _transvect_ground(self, acc: dict, rhs: dict, idx, coef) -> dict:
         """acc + coef * (A, rhs)^idx with idx in {0,1}^4, by the per-site
@@ -500,34 +478,26 @@ class EvalSession:
         offset_b and the sign are those of ``_index_table``.
 
         One loop over the terms of rhs.  f reads only the exponents of key
-        at the index sites, which are ``key & key_mask`` (both fields of
-        every index site, see ``_index_table``), so the pattern, not the
-        key, fixes f for every b; offset_b and the
-        signed a_b are constants of the session.  The session therefore
-        keeps, per idx and pattern, the (offset_b, a_b * f) pairs with
-        f != 0 (``_pattern_feeds``), built on the first key of that pattern,
-        and each term adds a_b * f * coef * c at key + offset_b straight
-        into acc, where coef, an integer term coefficient, is +1 or -1.
-        The memo reads the session's amplitudes, so it is the session's
-        own, as its values are.  The products are those of the Omega
-        expansion, only summed in another order: exact sums do not depend
-        on their order, a sum that cancels stays in acc as a zero until
-        ``_value`` drops it, once per covariant, and only the order of the
-        keys in acc changes.  No exact output reads that order: ``eval``
-        returns a ``Polynomial``, which prints its terms sorted and
-        compares as a dict, and every bit is a zero test (a float state's
-        values are exact integers, rounded only by ``eval`` and ``_bit``)."""
+        at the index sites, ``key & key_mask``, so that pattern fixes the
+        (offset_b, +-a_b * f) pairs for every b.  The session keeps them
+        per idx and pattern (``_pattern_feeds``, built on the first key of
+        the pattern), and each term adds a_b * f * coef * c at
+        key + offset_b straight into acc, coef being +1 or -1.  These are
+        the products of the Omega expansion summed in another order: exact
+        sums do not depend on it, a sum that cancels stays in acc as a zero
+        until ``_value`` drops it, and only the order of the keys in acc
+        changes, which no output reads (``Polynomial`` prints its terms
+        sorted, and every bit is a zero test)."""
         memo = self._feeds.get(idx)
         if memo is None:
             memo = self._feeds[idx] = {}
-        selectors = self._selectors_of(idx)
-        key_mask = _INDEX_TABLES[idx][2]
+        entries, key_mask = _INDEX_TABLES[idx]
         get = acc.get
         for key, c in rhs.items():
             pattern = key & key_mask
             feeds = memo.get(pattern)
             if feeds is None:
-                feeds = memo[pattern] = _pattern_feeds(selectors, pattern)
+                feeds = memo[pattern] = _pattern_feeds(entries, self._amps, pattern)
             if coef != 1:
                 c = coef * c
             for offset, af in feeds:

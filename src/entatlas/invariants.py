@@ -206,14 +206,20 @@ def hyperdet_delta(s: State):
 
 
 _SEXTIC_ID = CovariantId.parse("L_6000")
-_SEXTIC_MONOMIALS = tuple({x_var(1, 0): 6 - i, x_var(1, 1): i} for i in range(7))
+_SEXTIC_KEYS = tuple(_monomial_key({x_var(1, 0): 6 - i, x_var(1, 1): i}) for i in range(7))
 
 
 def sextic_coeffs(s: State):
-    """Binomial coefficients (d0..d6) of the evaluated sextic L_6000."""
-    p = build_catalog().eval_covariant(_SEXTIC_ID, s)
+    """Binomial coefficients (d0..d6) of the evaluated sextic L_6000.
+
+    Each is the session's exact value of lam * q^adeg * L_6000 at its
+    monomial, divided once by comb(6, i) * lam * q^adeg, so a float
+    state's d_i is rounded once."""
+    session = build_catalog().session(s)
+    value = session._value(_SEXTIC_ID)
+    div = session._divisor(_SEXTIC_ID)
     return tuple([
-        exact_quotient(p.coefficient(mono), comb(6, i)) for i, mono in enumerate(_SEXTIC_MONOMIALS)
+        s.unscaled(value.get(key, 0), comb(6, i) * div) for i, key in enumerate(_SEXTIC_KEYS)
     ])
 
 

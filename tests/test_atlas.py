@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +144,30 @@ def test_public_surface():
         "random_state", "terracini_rank", "verstraete_quartic",
     ]
     assert atlas.BASES == ("extended", "full")
+
+
+def test_bench_tracer_patch_targets_exist(monkeypatch):
+    """Every name the benchmark's tracer patches (``install_tracing`` in
+    ``bench/run.py``) still exists, and ``unpatch`` restores each original,
+    so a rename that drops one fails here and not only in ``pytest bench``."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    tr = run.Tracer()
+
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    try:
+        run.install_tracing(tr)
+        patches = list(tr._patches)
+        assert patches
+        assert all(current(owner, attr) is not orig for owner, attr, orig in patches)
+    finally:
+        tr.unpatch()
+    assert all(current(owner, attr) is orig for owner, attr, orig in patches)
 
 
 def test_adherence_on_small_table():

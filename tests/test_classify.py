@@ -396,7 +396,7 @@ def test_float_labels_keep_under_large_scales():
     is rounded once, so scaling the float corpus up by 1e3 or 1e6 changes
     no label and no ``ClassifyFail``: at every scale, 138 states get their
     own label, none a wrong one, and 6 fail.  (Scales below 1 meet the
-    absolute tolerances, ROADMAP item 5.)"""
+    absolute tolerances, ROADMAP item 10.)"""
     at_one = _float_corpus_outcomes(1.0)
     assert sum(got == label for label, got in at_one) == 138
     assert sum(got is None for _, got in at_one) == 6

@@ -182,21 +182,33 @@ def _pairing(amps):
     return total
 
 
-def test_flattening_tables_match_site_assembly():
+def test_flattening_tables_match_site_assembly(catalog):
     """L, M, N and B from the fixed index tables equal, with the same repr
     and type, the determinants of the site-assembled flattenings and the
     pairing with per-index parity: on int, Fraction and float states
     (through the cleared amplitudes; a float state's exact quotient n/d is
-    rounded once) and on Gaussian-rational states."""
+    rounded once) and on Gaussian-rational states.  So do the sextic
+    coefficients d_i, each the exact coefficient of L_6000 over comb(6, i),
+    rounded once on a float state, and I2 from them: on the all-ones float
+    state L_6000 vanishes, and I2 is the float 0.0."""
     ints, fracs, gauss = _gram_test_states()
     floats = [State([float(a) * 0.37 for a in s.amps]) for s in ints + fracs]
+    floats.append(State([1.0] * 16))
     seen_nonzero = [False] * 4
     for s in ints + fracs + gauss + floats:
         q, amps = s.scale, s.cleared
         over = (lambda n, d: n / d) if s.float_mode else exact_quotient
         want = [over(_det4(_flattening(amps, *_DET_SPLITS[name])), q ** 4) for name in "LMN"]
         want.append(over(_pairing(amps), 2 * q * q))
-        got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s)]
+        exact = State([Fraction(a) for a in s.amps]) if s.float_mode else s
+        sextic = catalog.eval_covariant("L_6000", exact)
+        ds = [exact_quotient(sextic.coefficient({x_var(1, 0): 6 - i, x_var(1, 1): i}),
+                             math.comb(6, i)) for i in range(7)]
+        if s.float_mode:
+            ds = [float(Fraction(d)) for d in ds]
+        d0, d1, d2, d3, d4, d5, d6 = ds
+        want += ds + [normalize_scalar(d0 * d6 - 6 * d1 * d5 + 15 * d2 * d4 - 10 * d3 * d3)]
+        got = [inv_L(s), inv_M(s), inv_N(s), inv_B(s), *sextic_coeffs(s), inv_I2(s)]
         assert [(repr(v), type(v)) for v in got] == [(repr(v), type(v)) for v in want], s
         seen_nonzero = [seen or bool(v) for seen, v in zip(seen_nonzero, want)]
     assert all(seen_nonzero)
