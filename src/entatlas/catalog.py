@@ -74,7 +74,7 @@ _ID_RE = re.compile(r"^([A-L])([123]?)_(\d)(\d)(\d)(\d)$")
 
 # Float mode: a value is nonzero when its largest coefficient magnitude
 # exceeds this absolute bound (the invariants scale it, see
-# ``invariants.invariant_nonzero``; the covariant bits do not).
+# ``invariants.Generators.nonzero``; the covariant bits do not).
 FLOAT_TOLERANCE = 1e-9
 
 

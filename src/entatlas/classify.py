@@ -2,9 +2,10 @@
 
 The nullcone classifier computes the 29-bit T signature and looks it up
 in the golden evaluation table; the secant classifier branches on the
-exact vanishing of L, M, B and D_xy, then separates classes with the V'
-and V'' vectors; the extended variant matches V' in the same table and
-splits its B != 0, D_xy != 0 branch with Z.  Table matching is exact: an
+nullity of L, M, B and D_xy, read once per state from
+``invariants.Generators``, then separates classes with the V' and V''
+vectors; the extended variant matches V' in the same table and splits
+its B != 0, D_xy != 0 branch with Z.  Table matching is exact: an
 in-domain signature that matches no golden row, or a V or W vector that
 contradicts the matched label's stratum, raises rather than guessing.
 In exact mode that is an integrity error (a broken catalog); in float
@@ -29,7 +30,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import T_IDS, VPRIME_IDS, EvalSession, _read_data, build_catalog
-from .invariants import inv_B, inv_D, inv_L, inv_M, inv_Z, invariant_nonzero, is_nilpotent
+# The inv_* names are unread here: the benchmark's tracer patches them on this module.
+from .invariants import Generators, inv_B, inv_D, inv_L, inv_M, inv_Z, is_nilpotent
 from .qstate import _SITE_PAIRS, State, StateError, _act_on_site, _tensor, check_nonzero, decode_form
 from .scalars import GaussianRational, exact_quotient
 
@@ -213,12 +215,11 @@ def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
 
 def classify(s: State, extended: bool = False) -> ClassificationResult:
     """The third-secant decision procedure, refined by Z when ``extended``."""
-    check_nonzero(s)
-    if invariant_nonzero(inv_L(s), s, 4) or invariant_nonzero(inv_M(s), s, 4):
+    g = Generators(check_nonzero(s))
+    if g.nonzero("L") or g.nonzero("M"):
         raise ClassifyFail("L or M does not vanish (outside the third secant)")
     sess = build_catalog().session(s)
-    B = invariant_nonzero(inv_B(s), s, 2)
-    Dxy = invariant_nonzero(inv_D(s, "xy"), s, 6)
+    B, Dxy = g.nonzero("B"), g.nonzero("Dxy")
     if not B:
         if not Dxy:
             # L, M, B and D_xy all vanish: the state is nilpotent.
@@ -240,7 +241,7 @@ def classify(s: State, extended: bool = False) -> ClassificationResult:
         raise _miss(sess, f"V' signature {vp} matches no golden row")
     if not extended:
         return _result(label, {"Vp": vp}, sess)
-    if invariant_nonzero(inv_Z(s), s, 6):
+    if g.nonzero("Z"):
         return _result(65257, {"Vp": vp, "Z": (1,)}, sess)
     # Z = 0 splits the extended class 6014 off the generic row 65257.
     return _result(6014 if label == 65257 else label, {"Vp": vp, "Z": (0,)}, sess)

@@ -26,7 +26,7 @@ from .atlas import (
 )
 from .catalog import CatalogError, CovariantId, build_catalog
 from .classify import ClassifyFail, IntegrityError, classify
-from .invariants import all_invariants, hyperdet_delta, inv_B, inv_D, inv_L, inv_M, inv_Z
+from .invariants import Generators, all_invariants, hyperdet_delta
 from .qstate import State, StateError, check_nonzero, decode_form
 from .scalars import GaussianRational, format_rational
 
@@ -59,17 +59,12 @@ def _fmt_scalar(v) -> str:
     return format_rational(v)
 
 
-# The invariants printed beside a classification (no I2: it needs L_6000).
-_CLASSIFY_INVARIANTS = {
-    "B": inv_B, "L": inv_L, "M": inv_M, "Dxy": inv_D, "Delta": hyperdet_delta, "Z": inv_Z,
-}
-
-
 def cmd_classify(args) -> int:
     s = _read_state(args)
     result = classify(s, extended=args.extended)
-    inv = {k: _fmt_scalar(f(s)) for k, f in _CLASSIFY_INVARIANTS.items()}
-    print(json.dumps(result.to_dict(invariants=inv), sort_keys=True))
+    g = Generators(s)  # printed beside the result, without I2 (it needs L_6000)
+    inv = {"B": g.B, "L": g.L, "M": g.M, "Dxy": g.Dxy, "Delta": hyperdet_delta(s), "Z": g.Z}
+    print(json.dumps(result.to_dict({k: _fmt_scalar(v) for k, v in inv.items()}), sort_keys=True))
     return EXIT_OK
 
 
@@ -94,7 +89,7 @@ def cmd_eval(args) -> int:
         "covariant": str(cid),
         "value": str(p),
         "is_zero": p.is_zero(),
-        "multidegree": None if p.is_zero() else list(p.multidegree()),
+        "multidegree": None if p.is_zero() else list(cid.multidegree),
     }
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK

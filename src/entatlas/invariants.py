@@ -48,6 +48,7 @@ of these values is the nearest float to its exact value.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -251,24 +252,52 @@ def inv_Z(s: State):
     return _z(inv_B(s), inv_D(s, "xy"))
 
 
+# The degree of each generator in the amplitudes, which scales the float rule.
+_DEGREE = {"B": 2, "L": 4, "M": 4, "Dxy": 6, "Z": 6}
+
+
+class Generators(namedtuple("Generators", "state B L M Dxy")):
+    """B, L, M and D_xy of one state, each computed once, and Z from them.
+    Every membership decision tests them by ``nonzero``, the one rule."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: State):
+        return super().__new__(cls, s, inv_B(s), inv_L(s), inv_M(s), inv_D(s, "xy"))
+
+    @property
+    def Z(self):
+        return _z(self.B, self.Dxy)
+
+    def nonzero(self, name: str) -> bool:
+        """``name`` is tested exactly, except that a float is nonzero when it
+        exceeds ``FLOAT_TOLERANCE`` scaled by max(1, max |a|^degree)."""
+        value = getattr(self, name)
+        if isinstance(value, float):
+            scale = max((abs(float(a)) for a in self.state.amps), default=1.0)
+            return abs(value) > FLOAT_TOLERANCE * max(1.0, scale ** _DEGREE[name])
+        return bool(value)
+
+    def bits(self) -> tuple:
+        """The (B, L, M, D_xy) nullity bits, as 0 and 1."""
+        return tuple([int(self.nonzero(name)) for name in ("B", "L", "M", "Dxy")])
+
+
 def all_invariants(s: State, pairs: bool = False) -> dict:
     """Every scalar invariant in one dict (CLI surface)."""
-    B = inv_B(s)
-    L = inv_L(s)
-    M = inv_M(s)
-    Dxy = inv_D(s, "xy")
+    g = Generators(s)
     cs = quartic_coeffs(s)
     S, T = quartic_S_T(cs)
     out = {
-        "B": B,
-        "L": L,
-        "M": M,
+        "B": g.B,
+        "L": g.L,
+        "M": g.M,
         "N": inv_N(s),
-        "Dxy": Dxy,
+        "Dxy": g.Dxy,
         "S": S,
         "T": T,
         "Delta": quartic_delta(cs),
-        "Z": _z(B, Dxy),
+        "Z": g.Z,
         "I2": inv_I2(s),
     }
     if pairs:
@@ -282,10 +311,7 @@ def _verstraete_raw(s: State):
 
     Each is a sign times a scale.  The odd ones are negated as ``0 - c``,
     so a vanishing float scale gives 0.0, not -0.0."""
-    B = inv_B(s)
-    L = inv_L(s)
-    M = inv_M(s)
-    Dxy = inv_D(s, "xy")
+    _, B, L, M, Dxy = Generators(s)
     scales = (1, 2 * B, B * B + 2 * L + 4 * M, 4 * (B * (M + Fraction(1, 2) * L) + Dxy), L * L)
     return tuple([0 - c if i % 2 else c for i, c in enumerate(scales)])
 
@@ -314,28 +340,11 @@ def verstraete_quartic_coeffs(s: State):
     return tuple([exact_quotient(raw, comb(4, i)) for i, raw in enumerate(_verstraete_raw(s))])
 
 
-def invariant_nonzero(value, s: State, degree: int) -> bool:
-    """The one invariant-nullity rule: ``value``, an invariant of s of the
-    given degree, is tested exactly, except that a float is nonzero when it
-    exceeds ``FLOAT_TOLERANCE`` scaled by max(1, max |a|^degree)."""
-    if isinstance(value, float):
-        scale = max((abs(float(a)) for a in s.amps), default=1.0)
-        return abs(value) > FLOAT_TOLERANCE * max(1.0, scale ** degree)
-    return bool(value)
-
-
 def is_nilpotent(s: State) -> bool:
     """B, L, M and D_xy all vanish (nullcone membership)."""
-    check_nonzero(s)
-    return not (
-        invariant_nonzero(inv_B(s), s, 2)
-        or invariant_nonzero(inv_L(s), s, 4)
-        or invariant_nonzero(inv_M(s), s, 4)
-        or invariant_nonzero(inv_D(s, "xy"), s, 6)
-    )
+    return not any(Generators(check_nonzero(s)).bits())
 
 
 def in_third_secant(s: State) -> bool:
     """L = M = 0 (third secant variety membership)."""
-    check_nonzero(s)
-    return not (invariant_nonzero(inv_L(s), s, 4) or invariant_nonzero(inv_M(s), s, 4))
+    return not any(Generators(check_nonzero(s)).bits()[1:3])

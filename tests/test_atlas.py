@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -14,7 +15,6 @@ from entatlas.atlas import (
     Report,
     _flip_images,
     _flip_key,
-    _invariant_bits,
     adherence_order,
     discover_classes,
     enumerate_forms,
@@ -25,7 +25,7 @@ from entatlas.atlas import (
     verify_tables,
 )
 from entatlas.catalog import EXTENDED_T_IDS
-from entatlas.invariants import hyperdet_delta, inv_B, inv_D, inv_L, inv_M
+from entatlas.invariants import Generators, hyperdet_delta, inv_B, inv_D, inv_L, inv_M
 from entatlas.qstate import (
     LocalOperator,
     State,
@@ -88,7 +88,7 @@ def test_signatures_for_quotient_matches_direct(catalog):
     assert list(got) == forms
     for n in forms:
         s = decode_form(n)
-        assert got[n] == _invariant_bits(s) + catalog.signature(s, EXTENDED_T_IDS), n
+        assert got[n] == Generators(s).bits() + catalog.signature(s, EXTENDED_T_IDS), n
     assert len(set(got.values())) > 1
     image_of = {key: _sparse_image(decode_form(key).amps) for key in map(_flip_key, forms)}
     assert image_of[1] == image_of[_flip_key(3)] and image_of[_flip_key(6)] == image_of[_flip_key(7)]
@@ -146,15 +146,21 @@ def test_public_surface():
     assert atlas.BASES == ("extended", "full")
 
 
-def test_bench_tracer_patch_targets_exist(monkeypatch):
-    """Every name the benchmark's tracer patches (``install_tracing`` in
-    ``bench/run.py``) still exists, and ``unpatch`` restores each original,
-    so a rename that drops one fails here and not only in ``pytest bench``."""
+def _bench_run(monkeypatch):
+    """``bench/run.py`` loaded as a module, with ``bench/`` on the path."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_bench_tracer_patch_targets_exist(monkeypatch):
+    """Every name the benchmark's tracer patches (``install_tracing`` in
+    ``bench/run.py``) still exists, and ``unpatch`` restores each original,
+    so a rename that drops one fails here and not only in ``pytest bench``."""
+    run = _bench_run(monkeypatch)
     tr = run.Tracer()
 
     def current(owner, attr):
@@ -168,6 +174,44 @@ def test_bench_tracer_patch_targets_exist(monkeypatch):
     finally:
         tr.unpatch()
     assert all(current(owner, attr) is orig for owner, attr, orig in patches)
+
+
+def _unread_imports(path) -> set:
+    """The names that module-level imports of ``path`` bind and no code in
+    the module reads."""
+    tree = ast.parse(path.read_text())
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bound - read
+
+
+def test_unread_imports_are_tracer_targets(monkeypatch):
+    """A module-level import in ``src/entatlas`` (``__init__`` aside) that
+    no code of its module reads is there only for the benchmark's tracer:
+    ``install_tracing`` patches that name on that module."""
+    run = _bench_run(monkeypatch)
+    tr = run.Tracer()
+    try:
+        run.install_tracing(tr)
+        patched = {
+            (owner.__name__, attr) for owner, attr, _ in tr._patches
+            if isinstance(owner, types.ModuleType)
+        }
+    finally:
+        tr.unpatch()
+    for path in sorted(Path(entatlas.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            for name in sorted(_unread_imports(path)):
+                assert (f"entatlas.{path.stem}", name) in patched, (path.name, name)
 
 
 def test_adherence_on_small_table():
@@ -231,7 +275,7 @@ def test_orbit_census_matches_direct_census(secant_table, catalog, monkeypatch):
     """The census over flip orbits and sparse images equals the per-form
     census on all 65536 forms: both filters, then the partition and
     representatives of the secant3 forms, each form evaluated itself."""
-    bits = {n: _invariant_bits(decode_form(n)) for n in range(65536)}
+    bits = {n: Generators(decode_form(n)).bits() for n in range(65536)}
     assert enumerate_forms("nullcone") == [n for n, b in bits.items() if b == (0, 0, 0, 0)]
     direct_forms = [n for n, b in bits.items() if b[1] == b[2] == 0]
     forms, table = secant_table
@@ -241,7 +285,7 @@ def test_orbit_census_matches_direct_census(secant_table, catalog, monkeypatch):
         sig_of = {}
         for n in forms:
             s = decode_form(n)
-            sig_of[n] = _invariant_bits(s) + catalog.signature(s, EXTENDED_T_IDS)
+            sig_of[n] = Generators(s).bits() + catalog.signature(s, EXTENDED_T_IDS)
         return sig_of
 
     monkeypatch.setattr(atlas, "signatures_for", direct_signatures)

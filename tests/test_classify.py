@@ -1,8 +1,11 @@
+import importlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from entatlas import cli, invariants
 from entatlas.atlas import _flip_key
 from entatlas.catalog import VPRIME_IDS, EvalSession
 from entatlas.classify import (
@@ -92,6 +95,34 @@ def test_extended_branch():
     assert classify_secant3_extended(decode_form(65257)).label == 65257
     # without the Z refinement the 6014 representative matches the generic row
     assert classify_secant3(decode_form(6014)).label == 65257
+
+
+def test_each_generator_computed_once_per_classification(monkeypatch, capsys):
+    """One classification computes each of B, L, M and D_xy once, on every
+    branch, read through either module's names: on SL2^4 images of 59520
+    (T/V), 65257 and 6014 (V'/Z), 59777 (B/D_xy) and 65231 (V''/W).  The
+    CLI's classify, which also prints them, computes each twice."""
+    names = ("inv_B", "inv_L", "inv_M", "inv_D")
+    classify_mod = importlib.import_module("entatlas.classify")  # the package's classify is a function
+    calls = Counter()
+    for name in names:
+        def counted(*args, name=name, orig=getattr(invariants, name)):
+            calls[name] += 1
+            return orig(*args)
+
+        for mod in (invariants, classify_mod):
+            monkeypatch.setattr(mod, name, counted)
+    branches = {59520: "T V", 65257: "Vp Z", 6014: "Vp Z", 59777: "B Dxy", 65231: "Vpp W"}
+    for label, keys in branches.items():
+        image = apply_local(random_sl2_tuple(label), orbit_records()[label].normal_form)
+        calls.clear()
+        r = classify_secant3_extended(image)
+        assert (r.label, sorted(r.signatures)) == (label, sorted(keys.split())), label
+        assert calls == dict.fromkeys(names, 1), label
+    calls.clear()
+    assert cli.main(["classify", "--form", "65257", "--extended"]) == 0
+    assert '"label": 65257' in capsys.readouterr().out
+    assert calls == dict.fromkeys(names, 2)
 
 
 def test_all_records_roundtrip_with_sl_images():
@@ -352,7 +383,7 @@ def _admits(classifier, s) -> bool:
     return True
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-3])
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3, 1e6])
 def test_predicates_agree_with_classifiers_in_float_mode(scale):
     """``is_nilpotent`` and ``in_third_secant`` decide membership by the same
     invariant-nullity rule as ``classify_nullcone`` and
