@@ -82,9 +82,25 @@ def _flip_images(n: int) -> list:
     return images
 
 
+def _flip_keys(forms) -> dict:
+    """Each form n of ``forms`` -> its orbit key, the least member of its
+    bit-flip orbit.  The key is computed once per orbit and recorded for
+    every image, so a form whose orbit was seen costs one lookup.  A form
+    that is not an exact int goes through ``check_form`` each time: True
+    equals the key 1, and must still be rejected."""
+    key_of = {}
+    for n in forms:
+        if type(n) is not int or n not in key_of:
+            images = _flip_images(check_form(n))
+            key = min(images)
+            for m in images:
+                key_of[m] = key
+    return key_of
+
+
 def _flip_key(n: int) -> int:
     """The least member of the bit-flip orbit of form n."""
-    return min(_flip_images(check_form(n)))
+    return _flip_keys((n,))[n]
 
 
 class ClassTable(namedtuple("ClassTable", "classes representatives")):
@@ -138,10 +154,11 @@ def _pool_size(processes):
 def signatures_for(forms, basis="extended", processes: int | None = None) -> dict:
     """n -> (invariant bits + covariant signature) for every form.
 
-    The forms are grouped by bit-flip orbit, the least member of each
-    orbit is mapped to its ``qstate._sparse_image``, and the signature is
-    computed once per distinct image and copied to every form whose orbit
-    maps there.  The process pool is used when there are 256 or more images.
+    The forms are grouped by bit-flip orbit (``_flip_keys``, one key per
+    orbit), the least member of each orbit is mapped to its
+    ``qstate._sparse_image``, and the signature is computed once per
+    distinct image and copied to every form whose orbit maps there.  The
+    process pool is used when there are 256 or more images.
 
     Why the copy is exact.  Every catalog covariant C is built by
     transvection from the ground form A, so it is an SL2^4 covariant,
@@ -162,7 +179,8 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     """
     _resolve_basis(basis)  # an unknown name fails here, not in a worker
     forms = list(forms)
-    keys = [_flip_key(n) for n in forms]
+    key_of = _flip_keys(forms)
+    keys = [key_of[n] for n in forms]
     image_of = {key: _sparse_image(decode_form(key).amps) for key in dict.fromkeys(keys)}
     images = list(dict.fromkeys(image_of.values()))
     nproc = _pool_size(processes)

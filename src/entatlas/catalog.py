@@ -107,16 +107,17 @@ GROUND_ID = CovariantId("A", (1, 1, 1, 1), 0)
 
 
 class CovariantDef(
-    namedtuple("CovariantDef", "cid adeg terms lam int_coefs", defaults=(1, ()))
+    namedtuple("CovariantDef", "cid adeg terms lam int_coefs packed", defaults=(1, (), 0))
 ):
     """One catalog entry: a rational combination of transvections.
 
     ``adeg`` is the degree in the state coefficients and ``terms`` holds
     (Fraction coef, lhs CovariantId, rhs CovariantId, idx) tuples.
-    ``Catalog._validate`` sets the last two fields in the catalog's own
-    copy: lam * C has integer coefficients on integer amplitudes, and
+    ``Catalog._validate`` sets the last three fields in the catalog's own
+    copy: lam * C has integer coefficients on integer amplitudes,
     int_coefs[t] = lam * coef_t / lam_rhs_t is the coefficient of term t
-    in that sum."""
+    in that sum, and packed is ``_packed(cid.multidegree)``, which
+    ``_check_multidegree`` compares with."""
 
     __slots__ = ()
 
@@ -184,6 +185,7 @@ class Catalog:
                 resolved[cid] = 1
                 if cid != GROUND_ID:
                     raise CatalogError(f"unexpected ground entry {cid}")
+                self.defs[cid] = d._replace(packed=_packed(cid.multidegree))
                 continue
             adegs = set()
             lam = 1
@@ -221,7 +223,7 @@ class Catalog:
             self.defs[cid] = d._replace(adeg=resolved[cid], lam=lam, int_coefs=tuple(
                 lam * coef.numerator // (coef.denominator * self.defs[rhs].lam)
                 for coef, _, rhs, _ in d.terms
-            ))
+            ), packed=_packed(cid.multidegree))
         census = {}
         for cid in self.order:
             census[self.defs[cid].adeg] = census.get(self.defs[cid].adeg, 0) + 1
@@ -343,10 +345,10 @@ def _unpacked(packed: int) -> tuple:
     return tuple((packed >> (2 * _W * k)) & _SITE_FIELDS for k in range(4))
 
 
-def _check_multidegree(cid, value: dict) -> None:
+def _check_multidegree(d: CovariantDef, value: dict) -> None:
     """Raise ``CatalogError`` unless every key of the nonzero ``value`` lies
     in the eight site fields and has the sitewise degrees of
-    ``cid.multidegree``.
+    ``d.cid.multidegree``, packed once at load as ``d.packed``.
 
     This is as strict as ``Polynomial.multidegree`` and cheaper: it builds
     no polynomial and no tuple per key.  A key in 0..2^32 - 1 holds only
@@ -354,12 +356,13 @@ def _check_multidegree(cid, value: dict) -> None:
     in byte j the degree e_{j,0} + e_{j,1} of site j + 1.  That degree is
     at most 30, so no byte carries into the next, and two keys' packed
     degrees are equal exactly when all four site degrees are."""
+    cid = d.cid
     if min(value) < 0 or max(value) >> (8 * _W):
         raise CatalogError(
             f"{cid}: evaluated multidegree undefined: a key lies outside the eight site fields"
         )
     degrees = {(k & _LOW) + ((k >> _W) & _LOW) for k in value}
-    if degrees != {_packed(cid.multidegree)}:
+    if degrees != {d.packed}:
         found = ", ".join(str(_unpacked(p)) for p in sorted(degrees))
         raise CatalogError(f"{cid}: evaluated multidegree {found} != declared {cid.multidegree}")
 
@@ -546,7 +549,7 @@ class EvalSession:
         if 0 in value.values():
             value = {k: c for k, c in value.items() if c}
         if value:
-            _check_multidegree(cid, value)
+            _check_multidegree(d, value)
         self._values[cid] = value
         return value
 

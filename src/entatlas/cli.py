@@ -211,6 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # An exact value, or an amplitude read from JSON, may have more digits
+    # than CPython's cap on int <-> str conversion (4300 by default from
+    # 3.10.7 on).  The cap is lifted while a command runs and restored on
+    # return, so a caller's own setting is kept.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def _run(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -29,8 +29,14 @@ centre), so no polynomial is formed.
 Flattening tables.  L, M and N are determinants of 4x4 flattenings:
 rows set the bits of one site pair, columns those of the other pair, in
 the orders of ``_DET_SPLITS``.  ``_FLAT`` stores each as a 4x4 tuple of
-amplitude indices and ``_B_SIGNS`` the sign (-1)^|b| of each index in
-B's pairing, both built once at import.
+amplitude indices.  ``_LAPLACE`` turns each into its Laplace expansion
+along the first two rows: 6 rows, one per column pair j1 < j2, of the
+sign (-1)^(1 + j1 + j2), the 4 indices of the top 2x2 minor on columns
+j1, j2 and the 4 of the complementary minor on rows 2, 3 and the other
+two columns.  The determinant is the sum of sign * top * complement, and
+a row whose top minor is 0 is skipped; on a {0,1} form most are.
+``_B_SIGNS`` holds the sign (-1)^|b| of each index in B's pairing.  All
+are built once at import.
 
 Quartic.  Write b_xt = m0(t) x0^2 + m1(t) x0 x1 + m2(t) x1^2 with
 m_p(t) = sum_q m[p][q] t0^(2-q) t1^q, m the xt Gram matrix.  The Hessian
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from .catalog import FLOAT_TOLERANCE, CovariantId, build_catalog
@@ -101,6 +107,21 @@ def _flat_table(row_sites, col_sites, row_order, col_order):
 
 _FLAT = {name: _flat_table(*split) for name, split in _DET_SPLITS.items()}
 
+
+def _laplace_table(flat):
+    """The Laplace rows of one flattening (see "Flattening tables")."""
+    rows = []
+    for j1, j2 in combinations(range(4), 2):
+        k1, k2 = (k for k in range(4) if k not in (j1, j2))
+        sign = 1 if (j1 + j2) & 1 else -1
+        top = (flat[0][j1], flat[0][j2], flat[1][j1], flat[1][j2])
+        bottom = (flat[2][k1], flat[2][k2], flat[3][k1], flat[3][k2])
+        rows.append((sign, *top, *bottom))
+    return tuple(rows)
+
+
+_LAPLACE = {name: _laplace_table(flat) for name, flat in _FLAT.items()}
+
 _B_SIGNS = tuple((b, -1 if bin(b).count("1") & 1 else 1) for b in range(16))
 
 
@@ -123,29 +144,15 @@ def _det3(m):
     )
 
 
-def _det4(m):
-    """Exact 4x4 determinant by cofactor expansion."""
-    total = 0
-    for j in range(4):
-        a = m[0][j]
-        if not a:
-            continue
-        cols = [c for c in range(4) if c != j]
-        sub = 0
-        for jj in range(3):
-            b = m[1][cols[jj]]
-            if not b:
-                continue
-            c2 = [c for c in cols if c != cols[jj]]
-            minor = m[2][c2[0]] * m[3][c2[1]] - m[2][c2[1]] * m[3][c2[0]]
-            sub = sub + (b * minor if jj % 2 == 0 else -b * minor)
-        total = total + (a * sub if j % 2 == 0 else -a * sub)
-    return total
-
-
 def _quartic_det(s: State, name: str):
-    amps = s.cleared
-    return s.unscaled(_det4([[amps[i] for i in row] for row in _FLAT[name]]), s.scale ** 4)
+    """The determinant of flattening ``name`` from its ``_LAPLACE`` rows."""
+    a = s.cleared
+    total = 0
+    for sign, i, j, k, l, p, q, r, u in _LAPLACE[name]:
+        top = a[i] * a[l] - a[j] * a[k]
+        if top:
+            total = total + sign * top * (a[p] * a[u] - a[q] * a[r])
+    return s.unscaled(total, s.scale ** 4)
 
 
 def inv_L(s: State):

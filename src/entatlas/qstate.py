@@ -67,7 +67,7 @@ class State:
         # it never reuses CPython's free list of 16-tuples, yet each one
         # joins that list when freed.  The list then fills to its cap of
         # 2000 (about 0.3 MB) after a few thousand states.
-        amps = tuple([normalize_scalar(a) for a in amplitudes])
+        amps = tuple([a if type(a) is int else normalize_scalar(a) for a in amplitudes])
         if len(amps) != 16:
             raise StateError(f"need 16 amplitudes, got {len(amps)}")
         q = 1
@@ -210,10 +210,14 @@ def check_form(n) -> int:
     return n
 
 
+# The 8 bits of each byte value, least significant first.
+_BYTE_BITS = tuple(tuple([(m >> b) & 1 for b in range(8)]) for m in range(256))
+
+
 def decode_form(n: int) -> State:
     """The {0,1}-coefficient form named by n: amplitude at index b is bit b."""
     check_form(n)
-    return State((n >> b) & 1 for b in range(16))
+    return State(_BYTE_BITS[n & 255] + _BYTE_BITS[n >> 8])
 
 
 def encode_form(s: State) -> int:

@@ -15,6 +15,7 @@ from entatlas.atlas import (
     Report,
     _flip_images,
     _flip_key,
+    _flip_keys,
     adherence_order,
     discover_classes,
     enumerate_forms,
@@ -77,19 +78,29 @@ def _whole_orbits(count, seed):
 
 
 def test_signatures_for_quotient_matches_direct(catalog):
-    """One signature per sparse image equals the per-form signature on
-    forms 1, 3, 6, 7 and every member of a seeded sample of whole flip
-    orbits.  Distinct flip orbits share an image, and each image stays in
-    its form's GL2^4 orbit: L, M and Delta are equal, and B and D_xy are
-    equal up to the sign of the flips (det -1) in the reduction."""
-    forms = [1, 3, 6, 7] + _whole_orbits(6, seed=3)
-    random.Random(4).shuffle(forms)
+    """One signature per sparse image equals the per-form signature, in the
+    order of first occurrence, on forms 1, 3, 6, 7, every member of a
+    seeded sample of whole flip orbits, part of the orbit of 59520 without
+    its least member, and repeats, all shuffled; the orbit keys computed
+    once per orbit equal the per-form ``_flip_key``.  Distinct flip orbits
+    share an image, and each image stays in its form's GL2^4 orbit: L, M
+    and Delta are equal, and B and D_xy are equal up to the sign of the
+    flips (det -1) in the reduction."""
+    rng = random.Random(4)
+    partial = sorted(set(_flip_images(59520)))[1:6]
+    forms = [1, 3, 6, 7] + _whole_orbits(6, seed=3) + partial
+    forms += rng.sample(forms, 8)
+    rng.shuffle(forms)
     got = signatures_for(forms, processes=1)
-    assert list(got) == forms
+    key_of = _flip_keys(forms)
+    assert [key_of[n] for n in forms] == [_flip_key(n) for n in forms]
+    direct = {}
     for n in forms:
-        s = decode_form(n)
-        assert got[n] == Generators(s).bits() + catalog.signature(s, EXTENDED_T_IDS), n
-    assert len(set(got.values())) > 1
+        if n not in direct:
+            s = decode_form(n)
+            direct[n] = Generators(s).bits() + catalog.signature(s, EXTENDED_T_IDS)
+    assert list(got.items()) == list(direct.items())
+    assert len(direct) < len(forms) and len(set(got.values())) > 1
     image_of = {key: _sparse_image(decode_form(key).amps) for key in map(_flip_key, forms)}
     assert image_of[1] == image_of[_flip_key(3)] and image_of[_flip_key(6)] == image_of[_flip_key(7)]
     assert len(set(image_of.values())) < len(image_of)

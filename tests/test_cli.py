@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,38 @@ def test_invariants_ghz_style(capsys):
     doc = json.loads(out)
     assert doc["B"] != "0" and doc["L"] == "0" and doc["M"] == "0"
     assert doc["S"] == "1/12"
+
+
+def _int_cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_long_exact_values_print(tmp_path, capsys):
+    """Exact values and JSON amplitudes past CPython's 4300-digit cap on
+    int <-> str conversion go through: ``invariants --pairs`` on 16 random
+    40-digit fractions prints values longer than the cap, a 5000-digit
+    amplitude is read (B of N|0000> + |1111> + |0110> + |1001> is N + 1),
+    and the caller's cap is the same after each run."""
+    cap = _int_cap()
+    rng = random.Random(18)
+    amps = [[rng.choice((1, -1)) * rng.randrange(10 ** 39, 10 ** 40),
+             rng.randrange(10 ** 39, 10 ** 40)] for _ in range(16)]
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"amplitudes": amps}))
+    code, out, err = run(capsys, "invariants", "--pairs", "--in", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc) == 15 and max(len(v) for v in doc.values()) > 4300
+    assert _int_cap() == cap
+    entries = ["[0, 1]"] * 16
+    entries[0] = "[" + "7" * 5000 + ", 1]"
+    for b in (6, 9, 15):
+        entries[b] = "[1, 1]"
+    path.write_text('{"amplitudes": [' + ", ".join(entries) + "]}")
+    code, out, err = run(capsys, "invariants", "--in", str(path))
+    assert code == 0, err
+    assert json.loads(out)["B"] == "7" * 4999 + "8"
+    assert _int_cap() == cap
 
 
 L_6000_ON_65218 = (

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from entatlas.atlas import _flip_key
 from entatlas.invariants import (
     _DET_SPLITS,
     PAIRS,
     SITE_OF,
-    _det4,
     _gram,
     all_invariants,
     delta_via_sextic,
@@ -171,6 +171,27 @@ def _flattening(amps, row_sites, col_sites, row_order, col_order):
     ]
 
 
+def _det4(m):
+    """Exact 4x4 determinant by cofactor expansion: the oracle of the Laplace
+    tables that L, M and N read."""
+    total = 0
+    for j in range(4):
+        a = m[0][j]
+        if not a:
+            continue
+        cols = [c for c in range(4) if c != j]
+        sub = 0
+        for jj in range(3):
+            b = m[1][cols[jj]]
+            if not b:
+                continue
+            c2 = [c for c in cols if c != cols[jj]]
+            minor = m[2][c2[0]] * m[3][c2[1]] - m[2][c2[1]] * m[3][c2[0]]
+            sub = sub + (b * minor if jj % 2 == 0 else -b * minor)
+        total = total + (a * sub if j % 2 == 0 else -a * sub)
+    return total
+
+
 def _pairing(amps):
     """B's signed pairing with the parity of each index computed in place."""
     total = 0
@@ -212,6 +233,21 @@ def test_flattening_tables_match_site_assembly(catalog):
         assert [(repr(v), type(v)) for v in got] == [(repr(v), type(v)) for v in want], s
         seen_nonzero = [seen or bool(v) for seen, v in zip(seen_nonzero, want)]
     assert all(seen_nonzero)
+
+
+def test_quartic_dets_match_cofactor_oracle_on_flip_leaders():
+    """L, M and N from the Laplace tables equal the cofactor determinants of
+    the site-assembled flattenings on the least member of each of the 4336
+    bit-flip orbits of {0,1} forms, the states the census filter reads."""
+    leaders = sorted({_flip_key(n) for n in range(65536)})
+    assert len(leaders) == 4336
+    nonzero = 0
+    for n in leaders:
+        s = decode_form(n)
+        want = [_det4(_flattening(s.amps, *_DET_SPLITS[name])) for name in "LMN"]
+        assert [inv_L(s), inv_M(s), inv_N(s)] == want, n
+        nonzero += any(want)
+    assert 0 < nonzero < len(leaders)
 
 
 def test_ghz_determinants(ghz):

@@ -39,6 +39,18 @@ def test_decode_59520_bits():
     assert [b for b in range(16) if s.amps[b]] == [7, 11, 13, 14, 15]
 
 
+def test_decode_matches_the_state_of_its_bits():
+    """For every n, decode_form(n) equals the State built from the 16 bits
+    of n in amps, scale, cleared and float_mode, and every amplitude is an
+    int."""
+    for n in range(65536):
+        s, want = decode_form(n), State([(n >> b) & 1 for b in range(16)])
+        assert (s.amps, s.scale, s.cleared, s.float_mode) == (
+            want.amps, want.scale, want.cleared, want.float_mode
+        ), n
+        assert {type(a) for a in s.amps + s.cleared} == {int}, n
+
+
 def test_decode_out_of_range():
     with pytest.raises(StateError):
         decode_form(65536)
