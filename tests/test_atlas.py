@@ -69,6 +69,8 @@ def test_flip_key_orbits():
     for bad in (-1, 65536, True, 1.0):
         with pytest.raises(StateError):
             _flip_key(bad)
+    with pytest.raises(StateError):  # True equals the key 1 seen before it
+        _flip_keys([1, True])
 
 
 def _whole_orbits(count, seed):
