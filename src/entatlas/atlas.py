@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from functools import partial
 
 from .catalog import EXTENDED_T_IDS, T_IDS, VPRIME_IDS, build_catalog, split_T
 from .classify import GOLDEN, IntegrityError
@@ -51,21 +52,18 @@ def enumerate_forms(filter_spec) -> list:
     """All n in 0..65535 whose decoded state passes the named filter
     ("nullcone" or "secant3").
 
-    The filter runs once per bit-flip orbit, on its least member, and the
-    verdict holds for the whole orbit: both filters test only the nullity
-    of B, L, M and D_xy, which flips preserve (see ``signatures_for``).
+    The filter runs once per bit-flip orbit, on its key (``_flip_keys``),
+    in increasing key order, and the verdict holds for the whole orbit:
+    both filters test only the nullity of B, L, M and D_xy, which flips
+    preserve (see ``signatures_for``).
     """
     pred = _FILTERS.get(filter_spec)
     if pred is None:
         names = ", ".join(_FILTERS)
         raise ValueError(f"unknown filter {filter_spec!r}; expected one of {names}")
-    verdict = bytearray(65536)  # 0 not yet seen, 1 dropped, 2 kept
-    for n in range(65536):
-        if not verdict[n]:  # n is the least member of a new orbit
-            v = 2 if pred(decode_form(n)) else 1
-            for m in _flip_images(n):
-                verdict[m] = v
-    return [n for n in range(65536) if verdict[n] == 2]
+    key_of = _flip_keys(range(65536))
+    kept = {key for key in sorted(set(key_of.values())) if pred(decode_form(key))}
+    return [n for n in range(65536) if key_of[n] in kept]
 
 
 _FLIP_MASKS = ((0x5555, 1), (0x3333, 2), (0x0F0F, 4), (0x00FF, 8))
@@ -131,15 +129,11 @@ def _resolve_basis(basis):
     raise ValueError(f"unknown basis {basis!r}; expected one of {', '.join(BASES)}")
 
 
-def _signature_worker(args):
-    images, basis_key = args
-    cat = build_catalog()
-    ids = _resolve_basis(basis_key)
-    out = []
-    for amps in images:
-        s = State(amps)
-        out.append((amps, Generators(s).bits() + cat.signature(s, ids)))
-    return out
+def _image_signature(amps, ids) -> tuple:
+    """The invariant bits and the covariant signature on ``ids`` of one
+    image; a pool worker builds its catalog once (``build_catalog``)."""
+    s = State(amps)
+    return Generators(s).bits() + build_catalog().signature(s, ids)
 
 
 def _pool_size(processes):
@@ -157,8 +151,9 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     The forms are grouped by bit-flip orbit (``_flip_keys``, one key per
     orbit), the least member of each orbit is mapped to its
     ``qstate._sparse_image``, and the signature is computed once per
-    distinct image and copied to every form whose orbit maps there.  The
-    process pool is used when there are 256 or more images.
+    distinct image and copied to every form whose orbit maps there.  One
+    per-image function is mapped over the distinct images: by ``map``, or
+    by a process pool's ``map`` when there are 256 or more images.
 
     Why the copy is exact.  Every catalog covariant C is built by
     transvection from the ground form A, so it is an SL2^4 covariant,
@@ -177,7 +172,7 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     signatures.  (Qubit permutations are not used: see the catalog
     notes.)
     """
-    _resolve_basis(basis)  # an unknown name fails here, not in a worker
+    sign = partial(_image_signature, ids=_resolve_basis(basis))  # fails before any work
     forms = list(forms)
     key_of = _flip_keys(forms)
     keys = [key_of[n] for n in forms]
@@ -185,16 +180,13 @@ def signatures_for(forms, basis="extended", processes: int | None = None) -> dic
     images = list(dict.fromkeys(image_of.values()))
     nproc = _pool_size(processes)
     if nproc <= 1 or len(images) < 256:
-        sig_of = dict(_signature_worker((images, basis)))
+        sigs = map(sign, images)
     else:
         import multiprocessing as mp
 
-        chunks = [images[i::nproc] for i in range(nproc)]
         with mp.Pool(nproc) as pool:
-            parts = pool.map(_signature_worker, [(c, basis) for c in chunks])
-        sig_of = {}
-        for part in parts:
-            sig_of.update(part)
+            sigs = pool.map(sign, images)
+    sig_of = dict(zip(images, sigs))
     return {n: sig_of[image_of[key]] for n, key in zip(forms, keys)}
 
 

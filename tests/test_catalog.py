@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import entatlas.catalog as catalog_module
 from entatlas.catalog import (
     CATALOG_SHA256,
     FLOAT_TOLERANCE,
@@ -20,6 +21,7 @@ from entatlas.catalog import (
     W_SPEC,
     _parse_line,
     _read_data,
+    build_catalog,
     split_T,
 )
 from entatlas.classify import GOLDEN, classify, orbit_records
@@ -146,10 +148,54 @@ def test_catalog_leaves_its_definitions_untouched(catalog):
 
 
 def test_parse_rejects_forward_reference():
-    with pytest.raises(CatalogError):
-        from entatlas.catalog import Catalog
+    """C_3111 refers to B_2200, a valid id defined only on the next line:
+    the load fails on the DAG check, not on the id."""
+    with pytest.raises(CatalogError, match=r"reference B_2200 not defined earlier \(DAG break\)"):
+        Catalog([
+            _parse_line("A 1111 GROUND"),
+            _parse_line("C_3111 3111 1:A:B_2200:1000"),
+            _parse_line("B_2200 2200 1/2:A:A:0011"),
+        ])
 
-        Catalog([_parse_line("A 1111 GROUND"), _parse_line("B_2200 2200 1/2:A:Z_0000:0011")])
+
+_B_2200 = "B_2200 2200 1/2:A:A:0011"
+_C1_1111 = ("B_0022 0022 1/2:A:A:1100", "C1_1111 1111 1:A:B_2200:1100 1:A:B_0022:0011")
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["B_2200 220 1/2:A:A:0011"], r"B_2200: bad multidegree field '220'"),
+        (["B_2200 2020 1/2:A:A:0011"], "B_2200: id and multidegree field disagree"),
+        (["B_2200 2200 1/2:A:A"], r"B_2200: bad term '1/2:A:A'"),
+        (["B_2200 2200 1/2:A:A:001"], r"B_2200: bad index '001'"),
+        (["A 1111 GROUND", _B_2200, _B_2200], "duplicate catalog ids"),
+        (["A 1111 GROUND", "B_2200 2200 GROUND"], "unexpected ground entry B_2200"),
+        (
+            ["A 1111 GROUND", _B_2200, *_C1_1111, "D_2200 2200 1:A:C1_1111:0011 1:A:A:0011"],
+            "D_2200: terms disagree on coefficient degree",
+        ),
+        (["A 1111 GROUND", _B_2200], r"per-degree census \{1: 1, 2: 1\} != expected"),
+        (None, "catalog file hash [0-9a-f]{64} does not match pinned " + CATALOG_SHA256),
+    ],
+    ids=["multidegree", "id-multidegree", "term", "index", "duplicate", "ground",
+         "coefficient-degree", "census", "file-hash"],
+)
+def test_loader_rejects_malformed_catalogs(monkeypatch, lines, message):
+    """Each load-time check names what it found.  The entries are parsed by
+    ``_parse_line`` and validated by ``Catalog``; ``None`` stands for the
+    real file with one byte added, which ``build_catalog`` refuses on its
+    pinned hash (the cached catalog is set aside and restored)."""
+    if lines is None:
+        text = _read_data("covariants.txt") + "\n"
+        monkeypatch.setattr(catalog_module, "_read_data", lambda name: text)
+        monkeypatch.setattr(catalog_module, "_cached", None)
+        load = build_catalog
+    else:
+        def load():
+            return Catalog([_parse_line(line) for line in lines])
+    with pytest.raises(CatalogError, match=message):
+        load()
 
 
 def test_eval_ground_on_basis_ket(catalog):

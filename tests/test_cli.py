@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entatlas
 from entatlas.classify import classify
@@ -412,3 +414,114 @@ def test_eval_and_invariants_output_pinned(capsys, tmp_path):
         code, out, err = run(capsys, *command.split(), "--in", str(path), "--mode", mode)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == want, (name, command, out)
+
+
+def test_exact_golden_miss_exits_3(capsys, monkeypatch):
+    """An exact signature that matches no golden row is an integrity error:
+    with the T lookup emptied, the nilpotent form 59520 exits 3 with one
+    ``integrity error:`` line on stderr and no traceback."""
+    from entatlas.classify import GOLDEN
+
+    monkeypatch.setitem(vars(GOLDEN), "_t_lookup", {})
+    code, out, err = run(capsys, "classify", "--form", "59520")
+    assert code == 3 and out == ""
+    assert err.startswith("integrity error: nilpotent state with unknown T signature")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _exact_amplitudes(digits):
+    """0, or a fraction with numerator and denominator of up to ``digits`` digits."""
+    top = 10 ** digits - 1
+    return st.one_of(
+        st.just([0, 1]),
+        st.tuples(st.integers(-top, top), st.integers(1, top)).map(list),
+    )
+
+
+def _float_amplitudes(exponent):
+    """0, or m * 10**e with |m| < 1000 and |e| <= ``exponent``, as an exact
+    [num, den] pair that float mode rounds once."""
+    return st.one_of(
+        st.just([0, 1]),
+        st.builds(
+            lambda m, e: [m * 10 ** e, 1] if e >= 0 else [m, 10 ** -e],
+            st.integers(-999, 999),
+            st.integers(-exponent, exponent),
+        ),
+    )
+
+
+_HEIGHT_COMMANDS = st.sampled_from([
+    ("classify",),
+    ("classify", "--extended"),
+    ("invariants", "--pairs"),
+    ("eval", "--covariant", "B_0000"),
+    ("eval", "--covariant", "C_3111"),
+    ("eval", "--covariant", "L_6000"),
+])
+
+
+def _height_cases(digits, exponent):
+    """(argv, JSON state text): an exact state of tall fractions, or a
+    float-mode state of wide exponents."""
+    def state(amplitudes):
+        return st.lists(amplitudes, min_size=16, max_size=16).map(
+            lambda amps: json.dumps({"amplitudes": amps})
+        )
+
+    return st.one_of(
+        st.tuples(_HEIGHT_COMMANDS, state(_exact_amplitudes(digits))),
+        st.tuples(_HEIGHT_COMMANDS.map(lambda c: c + ("--mode", "float")),
+                  state(_float_amplitudes(exponent))),
+    )
+
+
+def _check_height_case(argv, text):
+    """One CLI run on a state read from stdin: exit 0, 1 or 2; on failure
+    one line on stderr and nothing on stdout; never an exception."""
+    import contextlib
+    import io
+    from unittest import mock
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, text, err)
+    if code:
+        assert out == "" and err.count("\n") == 1, (argv, text, err)
+    else:
+        assert err == "" and json.loads(out)
+
+
+def _dense_state(seed, amplitude):
+    rng = random.Random(seed)
+    return json.dumps({"amplitudes": [amplitude(rng) for _ in range(16)]})
+
+
+# Every amplitude a 60-digit fraction; every amplitude 1e300 or 1e-300.
+_TALL = _dense_state(60, lambda rng: [rng.randrange(-10 ** 60, 10 ** 60), rng.randrange(1, 10 ** 60)])
+_WIDE = _dense_state(300, lambda rng: rng.choice(([10 ** 300, 1], [-1, 10 ** 300])))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_height_cases(digits=60, exponent=300))
+@example((("invariants", "--pairs"), _TALL))
+@example((("classify", "--mode", "float"), _WIDE))
+@example((("invariants", "--pairs", "--mode", "float"), _WIDE))
+def test_states_of_any_height_exit_cleanly(case):
+    """Tall exact states (numerators and denominators of up to 60 digits)
+    and float states with amplitudes from 1e-300 to 1e300 give exit 0, 1
+    or 2 through ``classify``, ``invariants --pairs`` and ``eval``, with
+    one stderr line on failure and no traceback.  A few derandomized cases
+    here; ``test_states_of_any_height_exit_cleanly_deep`` runs more."""
+    _check_height_case(*case)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_height_cases(digits=60, exponent=300))
+def test_states_of_any_height_exit_cleanly_deep(case):
+    """The same property over 1000 derandomized cases."""
+    _check_height_case(*case)
