@@ -429,27 +429,22 @@ def test_exact_golden_miss_exits_3(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def _exact_amplitudes(digits):
-    """0, or a fraction with numerator and denominator of up to ``digits`` digits."""
-    top = 10 ** digits - 1
-    return st.one_of(
-        st.just([0, 1]),
-        st.tuples(st.integers(-top, top), st.integers(1, top)).map(list),
-    )
+# 0, or a fraction with numerator and denominator of up to 60 digits.
+_TALL_AMPLITUDES = st.one_of(
+    st.just([0, 1]),
+    st.tuples(st.integers(-10 ** 60 + 1, 10 ** 60 - 1), st.integers(1, 10 ** 60 - 1)).map(list),
+)
 
-
-def _float_amplitudes(exponent):
-    """0, or m * 10**e with |m| < 1000 and |e| <= ``exponent``, as an exact
-    [num, den] pair that float mode rounds once."""
-    return st.one_of(
-        st.just([0, 1]),
-        st.builds(
-            lambda m, e: [m * 10 ** e, 1] if e >= 0 else [m, 10 ** -e],
-            st.integers(-999, 999),
-            st.integers(-exponent, exponent),
-        ),
-    )
-
+# 0, or m * 10**e with |m| < 1000 and |e| <= 300, as an exact [num, den]
+# pair that float mode rounds once.
+_WIDE_AMPLITUDES = st.one_of(
+    st.just([0, 1]),
+    st.builds(
+        lambda m, e: [m * 10 ** e, 1] if e >= 0 else [m, 10 ** -e],
+        st.integers(-999, 999),
+        st.integers(-300, 300),
+    ),
+)
 
 _HEIGHT_COMMANDS = st.sampled_from([
     ("classify",),
@@ -461,19 +456,19 @@ _HEIGHT_COMMANDS = st.sampled_from([
 ])
 
 
-def _height_cases(digits, exponent):
-    """(argv, JSON state text): an exact state of tall fractions, or a
-    float-mode state of wide exponents."""
-    def state(amplitudes):
-        return st.lists(amplitudes, min_size=16, max_size=16).map(
-            lambda amps: json.dumps({"amplitudes": amps})
-        )
-
-    return st.one_of(
-        st.tuples(_HEIGHT_COMMANDS, state(_exact_amplitudes(digits))),
-        st.tuples(_HEIGHT_COMMANDS.map(lambda c: c + ("--mode", "float")),
-                  state(_float_amplitudes(exponent))),
+def _state_json(amplitudes):
+    return st.lists(amplitudes, min_size=16, max_size=16).map(
+        lambda amps: json.dumps({"amplitudes": amps})
     )
+
+
+# (argv, JSON state text): an exact state of tall fractions, or a
+# float-mode state of wide exponents.
+_HEIGHT_CASES = st.one_of(
+    st.tuples(_HEIGHT_COMMANDS, _state_json(_TALL_AMPLITUDES)),
+    st.tuples(_HEIGHT_COMMANDS.map(lambda c: c + ("--mode", "float")),
+              _state_json(_WIDE_AMPLITUDES)),
+)
 
 
 def _check_height_case(argv, text):
@@ -506,7 +501,7 @@ _WIDE = _dense_state(300, lambda rng: rng.choice(([10 ** 300, 1], [-1, 10 ** 300
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
-@given(_height_cases(digits=60, exponent=300))
+@given(_HEIGHT_CASES)
 @example((("invariants", "--pairs"), _TALL))
 @example((("classify", "--mode", "float"), _WIDE))
 @example((("invariants", "--pairs", "--mode", "float"), _WIDE))
@@ -521,7 +516,7 @@ def test_states_of_any_height_exit_cleanly(case):
 
 @pytest.mark.slow
 @settings(max_examples=1000, derandomize=True, deadline=None)
-@given(_height_cases(digits=60, exponent=300))
+@given(_HEIGHT_CASES)
 def test_states_of_any_height_exit_cleanly_deep(case):
     """The same property over 1000 derandomized cases."""
     _check_height_case(*case)
