@@ -8,7 +8,6 @@ from .classify import (
     IntegrityError,
     classify,
     classify_nullcone,
-    classify_secant3,
     classify_secant3_extended,
     orbit_dimension,
     orbit_records,

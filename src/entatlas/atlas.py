@@ -96,11 +96,6 @@ def _flip_keys(forms) -> dict:
     return key_of
 
 
-def _flip_key(n: int) -> int:
-    """The least member of the bit-flip orbit of form n."""
-    return _flip_keys((n,))[n]
-
-
 class ClassTable(namedtuple("ClassTable", "classes representatives")):
     """Signature-keyed partition of a form set: ``classes`` maps a
     signature to its sorted members, ``representatives`` to its
@@ -112,10 +107,6 @@ class ClassTable(namedtuple("ClassTable", "classes representatives")):
         classes = {} if classes is None else classes
         representatives = {} if representatives is None else representatives
         return super().__new__(cls, classes, representatives)
-
-    @property
-    def representative_set(self) -> set:
-        return set(self.representatives.values())
 
 
 BASES = ("extended", "full")

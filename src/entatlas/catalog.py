@@ -140,23 +140,26 @@ def _parse_line(line: str, ids: dict | None = None):
 
     fields = line.split()
     cid = parse(fields[0])
-    mdeg = tuple(int(ch) for ch in fields[1])
-    if len(fields[1]) != 4:
-        raise CatalogError(f"{cid}: bad multidegree field {fields[1]!r}")
-    if mdeg != cid.multidegree:
-        raise CatalogError(f"{cid}: id and multidegree field disagree")
-    if fields[2] == "GROUND":
-        return CovariantDef(cid, 1, ())
-    terms = []
-    for term in fields[2:]:
-        try:
+    terms, term = [], None
+    # A ValueError from int(), Fraction or a term's split names the field
+    # it was raised on: the multidegree field, or else the current term.
+    try:
+        mdeg = tuple(int(ch) for ch in fields[1])
+        if len(fields[1]) != 4:
+            raise CatalogError(f"{cid}: bad multidegree field {fields[1]!r}")
+        if mdeg != cid.multidegree:
+            raise CatalogError(f"{cid}: id and multidegree field disagree")
+        if fields[2] == "GROUND":
+            return CovariantDef(cid, 1, ())
+        for term in fields[2:]:
             coef_s, lhs_s, rhs_s, idx_s = term.split(":")
-        except ValueError as e:
-            raise CatalogError(f"{cid}: bad term {term!r}") from e
-        idx = tuple(int(ch) for ch in idx_s)
-        if len(idx) != 4:
-            raise CatalogError(f"{cid}: bad index {idx_s!r}")
-        terms.append((Fraction(coef_s), parse(lhs_s), parse(rhs_s), idx))
+            idx = tuple(int(ch) for ch in idx_s)
+            if len(idx) != 4:
+                raise CatalogError(f"{cid}: bad index {idx_s!r}")
+            terms.append((Fraction(coef_s), parse(lhs_s), parse(rhs_s), idx))
+    except ValueError as e:
+        field = f"multidegree field {fields[1]!r}" if term is None else f"term {term!r}"
+        raise CatalogError(f"{cid}: bad {field}") from e
     return CovariantDef(cid, 0, tuple(terms))
 
 
@@ -580,11 +583,8 @@ class EvalSession:
             self.min_margin = min(self.min_margin, FLOAT_TOLERANCE / mag)
         return 0
 
-    def nullity(self, cid) -> int:
-        return self._bit((cid,))
-
     def signature(self, cids) -> tuple:
-        return tuple(self.nullity(cid) for cid in cids)
+        return tuple(self._bit((cid,)) for cid in cids)
 
     def confidence(self) -> str:
         """Approximate-mode decision margin ("exact" in exact mode)."""

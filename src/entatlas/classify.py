@@ -49,7 +49,7 @@ def _load_json(name):
 
 
 class OrbitRecord:
-    __slots__ = ("label", "variety", "group", "normal_form", "dim", "quasihomogeneous", "note")
+    __slots__ = ("label", "variety", "group", "normal_form", "dim", "quasihomogeneous")
 
     def __init__(self, rec):
         self.label = rec["label"]
@@ -64,7 +64,6 @@ class OrbitRecord:
             self.normal_form = State(amps)
         self.dim = rec["dim"]
         self.quasihomogeneous = rec["quasihomogeneous"]
-        self.note = rec.get("note")
 
 
 def _memoized(build):
@@ -201,10 +200,12 @@ def classify_nullcone(s: State) -> ClassificationResult:
 def _nullcone_lookup(sess: EvalSession) -> ClassificationResult:
     """The T/V table lookup for a state already known to be nilpotent: T
     names the label, its orbit record the stratum, and V, a function of
-    T's bits, only checks the tables (see the module docstring)."""
+    T's bits, only checks the tables (see the module docstring).  Label 0
+    is a miss too: the zero state is rejected before any lookup, and a
+    nonzero state has A's bit set, so only float underflow names it."""
     sig = sess.signature(T_IDS)
     label = GOLDEN.t_lookup.get(sig)
-    if label is None:
+    if not label:
         raise _miss(sess, f"nilpotent state with unknown T signature {sig}")
     v = sess.vector_V()
     result = _result(label, {"T": sig, "V": v}, sess)
@@ -245,11 +246,6 @@ def classify(s: State, extended: bool = False) -> ClassificationResult:
         return _result(65257, {"Vp": vp, "Z": (1,)}, sess)
     # Z = 0 splits the extended class 6014 off the generic row 65257.
     return _result(6014 if label == 65257 else label, {"Vp": vp, "Z": (0,)}, sess)
-
-
-def classify_secant3(s: State) -> ClassificationResult:
-    """The third-secant decision procedure (branch on B and D_xy, then V'/V'')."""
-    return classify(s)
 
 
 def classify_secant3_extended(s: State) -> ClassificationResult:

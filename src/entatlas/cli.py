@@ -2,8 +2,8 @@
 
 Commands: classify, invariants, eval, atlas, verify, graph.  All output
 is JSON (or DOT for graphs) and deterministic in exact mode.  Exit codes:
-0 success, 1 usage or input error (in float mode, also amplitudes too
-large for a float), 2 FAIL (the state is outside the
+0 success, 1 usage or input error (in float mode, also a value past the
+float range, ``qstate.FLOAT_OVERFLOW``), 2 FAIL (the state is outside the
 algorithm's domain, or a float-mode signature matches no golden row),
 3 internal integrity failure (an exact golden table mismatch, which
 indicates a broken catalog rather than bad input).
@@ -27,7 +27,7 @@ from .atlas import (
 from .catalog import CatalogError, CovariantId, build_catalog
 from .classify import ClassifyFail, IntegrityError, classify
 from .invariants import Generators, all_invariants, hyperdet_delta
-from .qstate import State, StateError, check_nonzero, decode_form
+from .qstate import FLOAT_OVERFLOW, State, StateError, check_nonzero, decode_form
 from .scalars import GaussianRational, format_rational
 
 EXIT_OK, EXIT_INPUT, EXIT_FAIL, EXIT_INTEGRITY = 0, 1, 2, 3
@@ -48,7 +48,10 @@ def _read_state(args) -> State:
 def _to_float(a):
     if isinstance(a, GaussianRational):
         raise StateError("float mode does not support complex amplitudes")
-    return float(a)
+    try:
+        return float(a)
+    except OverflowError:
+        raise OverflowError(FLOAT_OVERFLOW) from None
 
 
 def _fmt_scalar(v) -> str:
@@ -105,7 +108,7 @@ def cmd_atlas(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     forms, table = _discovery(args.variety, args)
-    reps = sorted(table.representative_set)
+    reps = sorted(table.representatives.values())
     classes_doc = {
         "variety": args.variety,
         "form_count": len(forms),

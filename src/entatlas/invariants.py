@@ -61,7 +61,7 @@ from math import comb
 
 from .catalog import FLOAT_TOLERANCE, CovariantId, build_catalog
 from .poly import Polynomial, _monomial_key, t as t_var, x as x_var
-from .qstate import State, check_nonzero
+from .qstate import FLOAT_OVERFLOW, State, check_nonzero
 from .scalars import exact_quotient, normalize_scalar
 
 SITE_OF = {"x": 1, "y": 2, "z": 3, "t": 4}
@@ -282,7 +282,11 @@ class Generators(namedtuple("Generators", "state B L M Dxy")):
         value = getattr(self, name)
         if isinstance(value, float):
             scale = max((abs(float(a)) for a in self.state.amps), default=1.0)
-            return abs(value) > FLOAT_TOLERANCE * max(1.0, scale ** _DEGREE[name])
+            try:
+                bound = FLOAT_TOLERANCE * max(1.0, scale ** _DEGREE[name])
+            except OverflowError:
+                raise OverflowError(FLOAT_OVERFLOW) from None
+            return abs(value) > bound
         return bool(value)
 
     def bits(self) -> tuple:

@@ -111,17 +111,9 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls({})
-
-    @classmethod
     def constant(cls, c) -> "Polynomial":
         c = normalize_scalar(c)
         return cls({0: c} if c else {})
-
-    @classmethod
-    def variable(cls, v: VariableId) -> "Polynomial":
-        return cls({1 << (_W * v.index): 1})
 
     @classmethod
     def monomial(cls, coeff, exponents: dict) -> "Polynomial":

@@ -29,6 +29,8 @@ class StateError(Exception):
 # Floats and Gaussian rationals do not multiply (``GaussianRational`` is
 # exact), so no state, operator or action may mix them.
 _FLOAT_GAUSSIAN = "float mode does not support complex amplitudes"
+# The one message for a float-mode value past the float range.
+FLOAT_OVERFLOW = "float mode: a value is past the float range (about 1.8e308)"
 
 
 def _check_no_mix(scalars) -> None:
@@ -96,11 +98,14 @@ class State:
     def unscaled(self, x, div: int):
         """x / div, for an x computed on ``cleared``: exact, and on a float
         state rounded once to the nearest float, since int true division
-        rounds correctly (past the float range it raises ``OverflowError``)."""
-        return x / div if self.float_mode else exact_quotient(x, div)
-
-    def __getitem__(self, b: int):
-        return self.amps[b]
+        rounds correctly (past the float range it raises ``OverflowError``
+        with ``FLOAT_OVERFLOW``)."""
+        if not self.float_mode:
+            return exact_quotient(x, div)
+        try:
+            return x / div
+        except OverflowError:
+            raise OverflowError(FLOAT_OVERFLOW) from None
 
     def __eq__(self, other):
         return isinstance(other, State) and self.amps == other.amps

@@ -249,13 +249,13 @@ def transvect(B: Polynomial, C: Polynomial, idx) -> Poly:
     """(B, C)^{i1 i2 i3 i4}: the transvection of two multibinary forms."""
     expected = _check_degrees(B, C, idx)
     if expected is None:
-        return Poly.zero()
+        return Poly()
     product = Poly(_mul_raw(primed(B).terms, dprimed(C).terms))
     for site in range(1, 5):
         if idx[site - 1]:
             product = omega_power(product, site, idx[site - 1])
             if product.is_zero():
-                return Poly.zero()
+                return Poly()
     result = Poly(_erase_marks(product.terms))
     if not result.is_zero() and result.multidegree() != expected:
         raise TransvectionError(

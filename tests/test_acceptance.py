@@ -102,7 +102,7 @@ def test_criterion_03_strata_table(catalog):
 
 def test_criterion_04_secant_census(secant_table, catalog):
     forms, table = secant_table
-    secant_reps = table.representative_set - set(NULLCONE_31)
+    secant_reps = set(table.representatives.values()) - set(NULLCONE_31)
     ok = secant_reps == set(SECANT_17)
     detail = f"reps-diff={sorted(secant_reps ^ set(SECANT_17))}"
     t4 = all(

@@ -14,7 +14,6 @@ from entatlas.atlas import (
     AdherenceGraph,
     Report,
     _flip_images,
-    _flip_key,
     _flip_keys,
     adherence_order,
     discover_classes,
@@ -56,25 +55,25 @@ def test_filters_on_known_forms():
 def test_flip_key_orbits():
     """The 65536 forms fall into 4336 bit-flip orbits; each key is the least
     member of its orbit, and the masks act as the local flips X_k."""
-    keys = {_flip_key(n) for n in range(65536)}
-    assert len(keys) == 4336
-    assert _flip_key(1 << 15) == 1 and _flip_key(65535) == 65535
+    key_of = _flip_keys(range(65536))
+    assert len(set(key_of.values())) == 4336
+    assert key_of[1 << 15] == 1 and key_of[65535] == 65535
     flip, eye = ((0, 1), (1, 0)), ((1, 0), (0, 1))
     n = 59520
     for k in range(4):
         g = LocalOperator(*(flip if j == k else eye for j in range(4)))
         assert encode_form(apply_local(g, decode_form(n))) == _flip_images(n)[1 << k]
     images = set(_flip_images(n))
-    assert {_flip_key(m) for m in images} == {min(images)}
+    assert {key_of[m] for m in images} == {min(images)}
     for bad in (-1, 65536, True, 1.0):
         with pytest.raises(StateError):
-            _flip_key(bad)
+            _flip_keys((bad,))
     with pytest.raises(StateError):  # True equals the key 1 seen before it
         _flip_keys([1, True])
 
 
 def _whole_orbits(count, seed):
-    keys = sorted({_flip_key(n) for n in range(65536)})
+    keys = sorted(set(_flip_keys(range(65536)).values()))
     picked = random.Random(seed).sample(keys, count)
     return [m for key in picked for m in sorted(set(_flip_images(key)))]
 
@@ -84,10 +83,10 @@ def test_signatures_for_quotient_matches_direct(catalog):
     order of first occurrence, on forms 1, 3, 6, 7, every member of a
     seeded sample of whole flip orbits, part of the orbit of 59520 without
     its least member, and repeats, all shuffled; the orbit keys computed
-    once per orbit equal the per-form ``_flip_key``.  Distinct flip orbits
-    share an image, and each image stays in its form's GL2^4 orbit: L, M
-    and Delta are equal, and B and D_xy are equal up to the sign of the
-    flips (det -1) in the reduction."""
+    once per orbit equal the per-form ``min(_flip_images(n))``.  Distinct
+    flip orbits share an image, and each image stays in its form's GL2^4
+    orbit: L, M and Delta are equal, and B and D_xy are equal up to the
+    sign of the flips (det -1) in the reduction."""
     rng = random.Random(4)
     partial = sorted(set(_flip_images(59520)))[1:6]
     forms = [1, 3, 6, 7] + _whole_orbits(6, seed=3) + partial
@@ -95,7 +94,7 @@ def test_signatures_for_quotient_matches_direct(catalog):
     rng.shuffle(forms)
     got = signatures_for(forms, processes=1)
     key_of = _flip_keys(forms)
-    assert [key_of[n] for n in forms] == [_flip_key(n) for n in forms]
+    assert [key_of[n] for n in forms] == [min(_flip_images(n)) for n in forms]
     direct = {}
     for n in forms:
         if n not in direct:
@@ -103,8 +102,8 @@ def test_signatures_for_quotient_matches_direct(catalog):
             direct[n] = Generators(s).bits() + catalog.signature(s, EXTENDED_T_IDS)
     assert list(got.items()) == list(direct.items())
     assert len(direct) < len(forms) and len(set(got.values())) > 1
-    image_of = {key: _sparse_image(decode_form(key).amps) for key in map(_flip_key, forms)}
-    assert image_of[1] == image_of[_flip_key(3)] and image_of[_flip_key(6)] == image_of[_flip_key(7)]
+    image_of = {key: _sparse_image(decode_form(key).amps) for key in map(key_of.get, forms)}
+    assert image_of[1] == image_of[key_of[3]] and image_of[key_of[6]] == image_of[key_of[7]]
     assert len(set(image_of.values())) < len(image_of)
     for key, image in image_of.items():
         s, r = decode_form(key), State(image)
@@ -116,7 +115,7 @@ def test_signatures_for_quotient_matches_direct(catalog):
 def test_discover_singleton_zero():
     table = discover_classes([0], processes=1)
     assert len(table.classes) == 1
-    assert table.representative_set == {0}
+    assert set(table.representatives.values()) == {0}
     sig = next(iter(table.classes))
     assert not any(sig)
 
@@ -124,7 +123,7 @@ def test_discover_singleton_zero():
 def test_discover_small_set():
     table = discover_classes([0, 1, 65535, 59520], processes=1)
     # 1 (a basis ket) and 65535 (full superposition) are both separable
-    assert table.representative_set == {0, 65535, 59520}
+    assert set(table.representatives.values()) == {0, 65535, 59520}
     sig_of = {rep: sig for sig, rep in table.representatives.items()}
     assert table.classes[sig_of[65535]] == [1, 65535]
     assert sig_of[59520] == signatures_for([59520], processes=1)[59520]
@@ -150,7 +149,7 @@ def test_public_surface():
         "Catalog", "ClassificationResult", "ClassifyFail", "CovariantId", "IntegrityError",
         "LocalOperator", "Polynomial", "QubitPermutation", "State", "VariableId",
         "all_invariants", "apply_local", "build_catalog", "classify", "classify_nullcone",
-        "classify_secant3", "classify_secant3_extended", "decode_form", "delta_via_sextic",
+        "classify_secant3_extended", "decode_form", "delta_via_sextic",
         "encode_form", "hyperdet_delta", "in_third_secant", "inv_B", "inv_D", "inv_I2",
         "inv_L", "inv_M", "inv_N", "inv_Z", "is_nilpotent", "orbit_dimension",
         "orbit_records", "permutation_type", "permute_qubits", "random_sl2_tuple",
@@ -159,21 +158,21 @@ def test_public_surface():
     assert atlas.BASES == ("extended", "full")
 
 
-def _bench_run(monkeypatch):
-    """``bench/run.py`` loaded as a module, with ``bench/`` on the path."""
+def _bench_module(monkeypatch, stem):
+    """``bench/<stem>.py`` loaded as a module, with ``bench/`` on the path."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", bench / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_tracer_patch_targets_exist(monkeypatch):
     """Every name the benchmark's tracer patches (``install_tracing`` in
     ``bench/run.py``) still exists, and ``unpatch`` restores each original,
     so a rename that drops one fails here and not only in ``pytest bench``."""
-    run = _bench_run(monkeypatch)
+    run = _bench_module(monkeypatch, "run")
     tr = run.Tracer()
 
     def current(owner, attr):
@@ -187,6 +186,18 @@ def test_bench_tracer_patch_targets_exist(monkeypatch):
     finally:
         tr.unpatch()
     assert all(current(owner, attr) is orig for owner, attr, orig in patches)
+
+
+def test_bench_workloads_run_one_item(monkeypatch):
+    """Each benchmark workload (``bench/workloads.py``), built at seed 1
+    with one process, runs its operation on the first item of round 0 with
+    no wrong output, so dropping a name the workloads call fails here and
+    not only in ``pytest bench``."""
+    workloads = _bench_module(monkeypatch, "workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload(1, 1)
+        item = w.round_items(0)[0]
+        assert w.check(item, w.op(item)) == 0, name
 
 
 def _unread_imports(path) -> set:
@@ -211,7 +222,7 @@ def test_unread_imports_are_tracer_targets(monkeypatch):
     """A module-level import in ``src/entatlas`` (``__init__`` aside) that
     no code of its module reads is there only for the benchmark's tracer:
     ``install_tracing`` patches that name on that module."""
-    run = _bench_run(monkeypatch)
+    run = _bench_module(monkeypatch, "run")
     tr = run.Tracer()
     try:
         run.install_tracing(tr)
@@ -280,7 +291,7 @@ def test_full_catalog_basis_agrees_on_every_secant_orbit(secant_table):
     forms, table = secant_table
     full = discover_classes(forms, basis="full")
     assert sorted(full.classes.values()) == sorted(table.classes.values())
-    assert full.representative_set == table.representative_set
+    assert sorted(full.representatives.values()) == sorted(table.representatives.values())
 
 
 @pytest.mark.slow

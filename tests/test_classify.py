@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from entatlas import cli, invariants
-from entatlas.atlas import _flip_key
+from entatlas.atlas import _flip_images
 from entatlas.catalog import VPRIME_IDS, EvalSession
 from entatlas.classify import (
     GOLDEN,
@@ -14,7 +14,6 @@ from entatlas.classify import (
     IntegrityError,
     classify,
     classify_nullcone,
-    classify_secant3,
     classify_secant3_extended,
     exact_rank,
     factor_separable,
@@ -67,26 +66,26 @@ def test_zero_state_rejected():
     with pytest.raises(StateError):
         classify_nullcone(State([0] * 16))
     with pytest.raises(StateError):
-        classify_secant3(State([0] * 16))
+        classify(State([0] * 16))
 
 
 def test_secant_representatives():
-    r = classify_secant3(ket_state((1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    r = classify(ket_state((1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     assert (r.label, r.variety) == (59777, "Sigma3^(1)(X)")
-    r = classify_secant3(ket_state((0, 0, 0, 0), (1, 1, 1, 1)))
+    r = classify(ket_state((0, 0, 0, 0), (1, 1, 1, 1)))
     assert (r.label, r.variety, r.stratum) == (65534, "Sigma(X)", "Gr''_1")
-    r = classify_secant3(ket_state((1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
+    r = classify(ket_state((1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
     assert (r.label, r.variety) == (65529, "J(X,P3xP1xP1)")
 
 
 def test_secant_fails_outside():
     s = random_state(33)  # has L != 0
     with pytest.raises(ClassifyFail):
-        classify_secant3(s)
+        classify(s)
 
 
 def test_secant_delegates_to_nullcone(w_state):
-    assert classify_secant3(w_state).label == 59520
+    assert classify(w_state).label == 59520
 
 
 def test_extended_branch():
@@ -94,7 +93,7 @@ def test_extended_branch():
     assert classify_secant3_extended(decode_form(59510)).label == 59510
     assert classify_secant3_extended(decode_form(65257)).label == 65257
     # without the Z refinement the 6014 representative matches the generic row
-    assert classify_secant3(decode_form(6014)).label == 65257
+    assert classify(decode_form(6014)).label == 65257
 
 
 def test_each_generator_computed_once_per_classification(monkeypatch, capsys):
@@ -159,7 +158,7 @@ def test_w_vector_matches_vpp_stratum():
     """Each V''/W normal form passes the W check: its W vector is the
     strata_W row of the stratum its V'' row names."""
     for label, gr, s in _vpp_normal_forms():
-        r = classify_secant3(s)
+        r = classify(s)
         assert (r.label, r.stratum) == (label, gr)
         assert list(r.signatures["W"]) == GOLDEN.tables["strata_W"][gr]
 
@@ -175,7 +174,7 @@ def test_w_vector_mismatch_raises(monkeypatch):
             if wrong == tuple(rows[gr]):
                 continue
             with pytest.raises(IntegrityError, match="W signature"):
-                classify_secant3(s)
+                classify(s)
 
 
 def test_unknown_vprime_raises_in_both_branches(monkeypatch):
@@ -190,7 +189,7 @@ def test_unknown_vprime_raises_in_both_branches(monkeypatch):
     monkeypatch.setattr(EvalSession, "signature", fake)
     for label in (65257, 6014, 59510):
         s = orbit_records()[label].normal_form
-        for classifier in (classify_secant3, classify_secant3_extended):
+        for classifier in (classify, classify_secant3_extended):
             with pytest.raises(IntegrityError, match="V' signature"):
                 classifier(s)
 
@@ -476,7 +475,7 @@ def test_nullcone_classifier_matches_census_on_every_orbit(secant_table):
     its orbit, as in the secant test below."""
     _, table = secant_table
     census = {
-        _flip_key(n): rep
+        min(_flip_images(n)): rep
         for sig, rep in table.representatives.items()
         if sig[:4] == (0, 0, 0, 0)
         for n in table.classes[sig]
@@ -500,14 +499,14 @@ def test_classifiers_match_census_on_every_image(secant_table):
     forms, table = secant_table
     census = {n: rep for sig, rep in table.representatives.items() for n in table.classes[sig]}
     orbits_of = {}
-    for n in sorted({_flip_key(n) for n in forms} - {0}):
+    for n in sorted({min(_flip_images(n)) for n in forms} - {0}):
         orbits_of.setdefault(_sparse_image(decode_form(n).amps), []).append(n)
     assert sum(map(len, orbits_of.values())) == 2223
     assert len(orbits_of) == 762
     moved = {}
     for image, orbits in orbits_of.items():
         s = State(image)
-        label, extended = classify_secant3(s).label, classify_secant3_extended(s).label
+        label, extended = classify(s).label, classify_secant3_extended(s).label
         for n in orbits:
             assert label == census[n], n
             if extended != census[n]:
@@ -521,18 +520,18 @@ def test_classifiers_match_census_on_every_orbit(secant_table):
     """Both decision procedures against the census, on one member of each
     of the 2223 nonzero secant3 bit-flip orbits (a flip is in GL2^4, so one
     member stands for its orbit, see ``atlas.signatures_for``).
-    ``classify_secant3`` gives the census class everywhere.  The extended
+    ``classify`` gives the census class everywhere.  The extended
     procedure differs on exactly 39 orbits, all in census class 65257,
     which it labels 6014: Z separates them, and Z is not a covariant
     nullity, so the census cannot."""
     forms, table = secant_table
     census = {n: rep for sig, rep in table.representatives.items() for n in table.classes[sig]}
-    orbits = sorted({_flip_key(n) for n in forms} - {0})
+    orbits = sorted({min(_flip_images(n)) for n in forms} - {0})
     assert len(orbits) == 2223
     moved = {}
     for n in orbits:
         s = decode_form(n)
-        assert classify_secant3(s).label == census[n], n
+        assert classify(s).label == census[n], n
         label = classify_secant3_extended(s).label
         if label != census[n]:
             moved[n] = (census[n], label)

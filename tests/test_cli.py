@@ -14,7 +14,7 @@ import entatlas
 from entatlas.classify import classify
 from entatlas.cli import main
 from entatlas.invariants import all_invariants, inv_L
-from entatlas.qstate import LocalOperator, apply_local, decode_form, random_sl2_tuple
+from entatlas.qstate import FLOAT_OVERFLOW, LocalOperator, apply_local, decode_form, random_sl2_tuple
 from entatlas.scalars import GaussianRational
 
 
@@ -80,20 +80,37 @@ def test_float_mode_rejects_a_state_that_underflows_to_zero(tmp_path, capsys):
     assert code == 0 and json.loads(out)["B"] == "0"
 
 
+def _big_then_one(a):
+    return [[a, 1], [1, 1]] + [[0, 1]] * 14
+
+
+def _ghz_at(a):
+    return [[a, 1]] + [[0, 1]] * 14 + [[a, 1]]
+
+
 @pytest.mark.parametrize(
-    "command, amplitude",
-    [("classify", 10 ** 400), ("invariants", 10 ** 400), ("classify", 10 ** 60)],
-    ids=["classify-1e400", "invariants-1e400", "classify-1e60"],
+    "command, amplitudes",
+    [
+        ("classify", _big_then_one(10 ** 400)),
+        ("invariants", _big_then_one(10 ** 400)),
+        ("classify", _big_then_one(10 ** 60)),
+        ("classify", _ghz_at(10 ** 300)),
+        ("invariants", _ghz_at(10 ** 300)),
+        ("eval --covariant B_0000", _ghz_at(10 ** 300)),
+    ],
+    ids=["classify-1e400", "invariants-1e400", "classify-1e60",
+         "classify-ghz-1e300", "invariants-ghz-1e300", "eval-ghz-1e300"],
 )
-def test_float_mode_overflow_is_an_input_error(tmp_path, capsys, command, amplitude):
-    """An amplitude past the float range, or one whose sixth power is (the
-    scale of the D_xy and Z nullity tests), is an input error."""
+def test_float_mode_overflow_is_an_input_error(tmp_path, capsys, command, amplitudes):
+    """An amplitude past the float range, one whose sixth power is (the
+    scale of the D_xy and Z nullity tests), or a value that is
+    (|0000> + |1111> at 1e300, where B is about 1e600), is an input error
+    in the program's own words."""
     path = tmp_path / "state.json"
-    path.write_text(json.dumps({"amplitudes": [[amplitude, 1], [1, 1]] + [[0, 1]] * 14}))
-    code, out, err = run(capsys, command, "--mode", "float", "--in", str(path))
+    path.write_text(json.dumps({"amplitudes": amplitudes}))
+    code, out, err = run(capsys, *command.split(), "--mode", "float", "--in", str(path))
     assert code == 1 and out == ""
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert err == f"error: {FLOAT_OVERFLOW}\n" and "1.8e308" in err
 
 
 def test_float_eval_prints_the_exact_value_rounded_once(tmp_path, capsys):
@@ -159,6 +176,19 @@ def test_classify_float_lookup_miss_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("FAIL:") and "confidence low" in err
     assert "Traceback" not in err
+
+
+def test_float_underflow_to_the_zero_row_fails(tmp_path, capsys):
+    """|0000> + |1111> scaled by 1e-300 is nonzero, but in float mode every
+    T bit underflows to 0, the row of label 0.  Only the zero state, which
+    is rejected first, has that label, so the lookup misses: FAIL (exit 2)
+    with confidence low, not label 0 with confidence high."""
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[1, 10 ** 300]] + [[0, 1]] * 14 + [[1, 10 ** 300]]}))
+    code, out, err = run(capsys, "classify", "--mode", "float", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("FAIL:") and "confidence low" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_classify_malformed_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from entatlas.atlas import _flip_key
+from entatlas.atlas import _flip_images
 from entatlas.invariants import (
     _DET_SPLITS,
     PAIRS,
@@ -239,7 +239,7 @@ def test_quartic_dets_match_cofactor_oracle_on_flip_leaders():
     """L, M and N from the Laplace tables equal the cofactor determinants of
     the site-assembled flattenings on the least member of each of the 4336
     bit-flip orbits of {0,1} forms, the states the census filter reads."""
-    leaders = sorted({_flip_key(n) for n in range(65536)})
+    leaders = sorted({min(_flip_images(n)) for n in range(65536)})
     assert len(leaders) == 4336
     nonzero = 0
     for n in leaders:
@@ -383,7 +383,7 @@ def _verstraete_via_products(s: State) -> Poly:
     """The assembled quartic as a sum of scalars times powers of t0 and t1,
     the oracle of the closed form in verstraete_quartic(_coeffs)."""
     B, L, M, Dxy = inv_B(s), inv_L(s), inv_M(s), inv_D(s, "xy")
-    t0, t1 = Poly.variable(t_var(0)), Poly.variable(t_var(1))
+    t0, t1 = Poly.monomial(1, {t_var(0): 1}), Poly.monomial(1, {t_var(1): 1})
     return (
         t0 ** 4
         - (2 * B) * t0 ** 3 * t1

@@ -80,7 +80,7 @@ def test_ground_form_full_superposition_factors():
     p = to_ground_form(decode_form(65535))
     prod = Poly.constant(1)
     for site in range(1, 5):
-        prod = prod * (Poly.variable(x(site, 0)) + Poly.variable(x(site, 1)))
+        prod = prod * (Poly.monomial(1, {x(site, 0): 1}) + Poly.monomial(1, {x(site, 1): 1}))
     assert p == prod
 
 
