@@ -140,6 +140,8 @@ def _parse_line(line: str, ids: dict | None = None):
 
     fields = line.split()
     cid = parse(fields[0])
+    if len(fields) < 3:
+        raise CatalogError(f"{cid}: need an id, a multidegree and terms")
     terms, term = [], None
     # A ValueError from int(), Fraction or a term's split names the field
     # it was raised on: the multidegree field, or else the current term.

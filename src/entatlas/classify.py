@@ -32,7 +32,8 @@ from fractions import Fraction
 from .catalog import T_IDS, VPRIME_IDS, EvalSession, _read_data, build_catalog
 # The inv_* names are unread here: the benchmark's tracer patches them on this module.
 from .invariants import Generators, inv_B, inv_D, inv_L, inv_M, inv_Z, is_nilpotent
-from .qstate import _SITE_PAIRS, State, StateError, _act_on_site, _tensor, check_nonzero, decode_form
+from .qstate import _SITE_PAIRS, State, StateError, _act_on_site, _index, _tensor
+from .qstate import check_nonzero, decode_form
 from .scalars import GaussianRational, exact_quotient
 
 
@@ -59,8 +60,8 @@ class OrbitRecord:
             self.normal_form = decode_form(rec["label"])
         else:
             amps = [0] * 16
-            for i1, i2, i3, i4 in rec["kets"]:
-                amps[i1 + 2 * i2 + 4 * i3 + 8 * i4] = 1
+            for ket in rec["kets"]:
+                amps[_index(*ket)] = 1
             self.normal_form = State(amps)
         self.dim = rec["dim"]
         self.quasihomogeneous = rec["quasihomogeneous"]

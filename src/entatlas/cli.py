@@ -2,11 +2,11 @@
 
 Commands: classify, invariants, eval, atlas, verify, graph.  All output
 is JSON (or DOT for graphs) and deterministic in exact mode.  Exit codes:
-0 success, 1 usage or input error (in float mode, also a value past the
-float range, ``qstate.FLOAT_OVERFLOW``), 2 FAIL (the state is outside the
-algorithm's domain, or a float-mode signature matches no golden row),
-3 internal integrity failure (an exact golden table mismatch, which
-indicates a broken catalog rather than bad input).
+0 success, 1 usage or input error (also any float-mode value past the
+float range: every ``OverflowError`` prints ``FLOAT_OVERFLOW``), 2 FAIL
+(the state is outside the algorithm's domain, or a float-mode signature
+matches no golden row), 3 internal integrity failure (an exact golden
+table mismatch, which indicates a broken catalog rather than bad input).
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ from .atlas import (
 from .catalog import CatalogError, CovariantId, build_catalog
 from .classify import ClassifyFail, IntegrityError, classify
 from .invariants import Generators, all_invariants, hyperdet_delta
-from .qstate import FLOAT_OVERFLOW, State, StateError, check_nonzero, decode_form
+from .qstate import _FLOAT_GAUSSIAN, State, StateError, check_nonzero, decode_form
 from .scalars import GaussianRational, format_rational
 
 EXIT_OK, EXIT_INPUT, EXIT_FAIL, EXIT_INTEGRITY = 0, 1, 2, 3
+# The wording of every OverflowError: exact values never become floats, so
+# only a float-mode value past the float range raises one.
+FLOAT_OVERFLOW = "float mode: a value is past the float range (about 1.8e308)"
 
 
 def _read_state(args) -> State:
@@ -47,11 +50,8 @@ def _read_state(args) -> State:
 
 def _to_float(a):
     if isinstance(a, GaussianRational):
-        raise StateError("float mode does not support complex amplitudes")
-    try:
-        return float(a)
-    except OverflowError:
-        raise OverflowError(FLOAT_OVERFLOW) from None
+        raise StateError(_FLOAT_GAUSSIAN)
+    return float(a)
 
 
 def _fmt_scalar(v) -> str:
@@ -233,8 +233,11 @@ def _run(argv) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (StateError, OSError, ValueError, OverflowError) as e:
+    except (StateError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError:
+        print(f"error: {FLOAT_OVERFLOW}", file=sys.stderr)
         return EXIT_INPUT
     except ClassifyFail as e:
         print(f"FAIL: {e}", file=sys.stderr)

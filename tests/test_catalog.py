@@ -165,6 +165,8 @@ _C1_1111 = ("B_0022 0022 1/2:A:A:1100", "C1_1111 1111 1:A:B_2200:1100 1:A:B_0022
 @pytest.mark.parametrize(
     "lines, message",
     [
+        (["B_2200 2200"], "B_2200: need an id, a multidegree and terms"),
+        (["B_2200"], "B_2200: need an id, a multidegree and terms"),
         (["B_2200 220 1/2:A:A:0011"], r"B_2200: bad multidegree field '220'"),
         (["B_2200 22x0 1/2:A:A:0011"], r"B_2200: bad multidegree field '22x0'"),
         (["B_2200 2020 1/2:A:A:0011"], "B_2200: id and multidegree field disagree"),
@@ -181,8 +183,9 @@ _C1_1111 = ("B_0022 0022 1/2:A:A:1100", "C1_1111 1111 1:A:B_2200:1100 1:A:B_0022
         (["A 1111 GROUND", _B_2200], r"per-degree census \{1: 1, 2: 1\} != expected"),
         (None, "catalog file hash [0-9a-f]{64} does not match pinned " + CATALOG_SHA256),
     ],
-    ids=["multidegree", "multidegree-digit", "id-multidegree", "term", "index", "index-digit",
-         "coefficient", "duplicate", "ground", "coefficient-degree", "census", "file-hash"],
+    ids=["no-terms", "id-only", "multidegree", "multidegree-digit", "id-multidegree", "term",
+         "index", "index-digit", "coefficient", "duplicate", "ground", "coefficient-degree",
+         "census", "file-hash"],
 )
 def test_loader_rejects_malformed_catalogs(monkeypatch, lines, message):
     """Each load-time check names what it found.  The entries are parsed by

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import entatlas
 from entatlas.classify import classify
-from entatlas.cli import main
+from entatlas.cli import FLOAT_OVERFLOW, main
 from entatlas.invariants import all_invariants, inv_L
-from entatlas.qstate import FLOAT_OVERFLOW, LocalOperator, apply_local, decode_form, random_sl2_tuple
+from entatlas.qstate import LocalOperator, apply_local, decode_form, random_sl2_tuple
 from entatlas.scalars import GaussianRational
 
 
@@ -503,7 +503,9 @@ _HEIGHT_CASES = st.one_of(
 
 def _check_height_case(argv, text):
     """One CLI run on a state read from stdin: exit 0, 1 or 2; on failure
-    one line on stderr and nothing on stdout; never an exception."""
+    one line on stderr, in the program's words (no CPython overflow
+    message), and nothing on stdout; never an exception.  Returns the exit
+    code and stderr."""
     import contextlib
     import io
     from unittest import mock
@@ -516,8 +518,10 @@ def _check_height_case(argv, text):
     assert code in (0, 1, 2), (argv, text, err)
     if code:
         assert out == "" and err.count("\n") == 1, (argv, text, err)
+        assert "Numerical result out of range" not in err and "too large" not in err, (argv, err)
     else:
         assert err == "" and json.loads(out)
+    return code, err
 
 
 def _dense_state(seed, amplitude):
@@ -550,3 +554,22 @@ def test_states_of_any_height_exit_cleanly(case):
 def test_states_of_any_height_exit_cleanly_deep(case):
     """The same property over 1000 derandomized cases."""
     _check_height_case(*case)
+
+
+def test_float_heights_fail_in_the_programs_words():
+    """|0000> + |1111> (form 32769) and form 384 scaled by 10^e, from 1e10
+    to 1e300, through four float-mode commands: every failure is one
+    ``FAIL:`` line or the one overflow line.  The quartic route's float
+    powers (``c2 ** 3``, ``S ** 3``, ``B ** 3``) overflow long before the
+    amplitudes do, at 1e20 for the GHZ state."""
+    commands = [("classify",), ("classify", "--extended"), ("invariants", "--pairs"),
+                ("eval", "--covariant", "B_0000")]
+    for form in (32769, 384):
+        for e in (10, 20, 40, 60, 100, 150, 200, 300):
+            amps = [[a * 10 ** e, 1] for a in decode_form(form).amps]
+            text = json.dumps({"amplitudes": amps})
+            for command in commands:
+                code, err = _check_height_case(command + ("--mode", "float"), text)
+                if code:
+                    assert err.startswith("FAIL: ") or err == f"error: {FLOAT_OVERFLOW}\n", (
+                        form, e, command, err)
