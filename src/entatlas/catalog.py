@@ -24,12 +24,13 @@ transvection: the ground-form-specialized ``EvalSession._transvect_ground``.
 The ground form is multilinear, so a term (key, c) of rhs and an amplitude
 a_b give a_b * f * c at a fixed offset from key, where f reads only the
 exponents of key at the index sites (the per-site rule, proved there).
-Each session memoizes, per index and exponent pattern, the (offset,
-a_b * f) pairs with f != 0, built from the index table and the cleared
-amplitudes, and the kernel adds them straight into the covariant's one
-sum.  Only the order of exact sums and of a value's keys changes, which
-no output reads.  The tests pin the kernel against the literal Omega
-process (``tests/omega_oracle.py``) on every scalar kind.
+The state-free part, (b, offset, +-f) with f != 0 per index and exponent
+pattern, is built once per process (``_feed_table``); each session
+memoizes, per index and pattern, the (offset, +-a_b * f) pairs it gives
+with the cleared amplitudes, and the kernel adds them straight into the
+covariant's one sum.  Only the order of exact sums and of a value's keys
+changes, which no output reads.  The tests pin the kernel against the
+literal Omega process (``tests/omega_oracle.py``) on every scalar kind.
 The kernel trusts the load-time checks and repeats none of them; the one
 check left at evaluation runs once per covariant, where its value is
 memoized (``EvalSession._value``): every key lies in the eight site
@@ -37,7 +38,8 @@ fields and has the declared multidegree, compared as packed site degrees,
 and a value that fails raises ``CatalogError``.
 ``Catalog.session`` hands out a new session on every call and the catalog
 keeps none, so a caller that reads one state several times holds its
-session, and states evaluate independently in parallel.  The composite
+session.  States evaluate independently in parallel: what sessions share
+is the feed tables, immutable tuples that read no state.  The composite
 vectors V, V'' and W are tables of covariant groups (``V_SPEC``,
 ``VPP_SPEC``, ``W_SPEC``) decided by one rule, ``EvalSession.bits``, which
 builds no sum or product polynomial: the summands of a group have distinct
@@ -238,8 +240,9 @@ class Catalog:
     # -- evaluation ----------------------------------------------------------
 
     # The methods below taking a state are one-shot helpers: each opens a
-    # new session, so a caller reading one state several times should
-    # hold ``session(state)`` instead.
+    # new session, which rebuilds its values and feeds memo (only the
+    # state-free feed tables outlive it), so a caller reading one state
+    # several times should hold ``session(state)`` instead.
 
     def session(self, state: State) -> "EvalSession":
         """A new evaluation session on ``state``."""
@@ -298,46 +301,60 @@ def build_catalog() -> Catalog:
     return _cached
 
 
-def _index_table(idx) -> tuple:
-    """The state-free part of the kernel for the index ``idx``:
-    (entries, key_mask).
-
-    ``entries`` holds one (shifts, b, key offset, odd) tuple per amplitude
-    index b, in increasing (selector, b), where the selector is the bits
-    of b on the index sites.  ``shifts`` holds, for each index site k in
-    increasing k, the bit offset of the exponent field of x_{k,1-b_k}, so
-    it is a function of the selector; the offset is +x_{k,b_k} on the
-    other sites and -x_{k,1-b_k} on the index sites, and ``odd`` is the
-    parity of the number of index sites with b_k = 1.  ``key_mask`` covers
-    both exponent fields of every index site, so ``key & key_mask`` is the
-    key's exponent pattern on the index sites."""
-    sites = [k for k in range(4) if idx[k]]
-    mask = sum(1 << k for k in sites)
-    entries = []
-    for b in sorted(range(16), key=lambda b: (b & mask, b)):
-        offset = odd = 0
-        for k in range(4):
-            bit = (b >> k) & 1
-            if idx[k]:
-                offset -= 1 << (_W * (2 * k + 1 - bit))
-                odd ^= bit
-            else:
-                offset += 1 << (_W * (2 * k + bit))
-        shifts = tuple(_W * (2 * k + 1 - ((b >> k) & 1)) for k in sites)
-        entries.append((shifts, b, offset, odd))
-    key_mask = sum(_SITE_FIELDS << (2 * _W * k) for k in sites)
-    return tuple(entries), key_mask
-
-
 # Both exponent fields of site 1, and the x_{k,0} field of every site: the
 # packed site degrees of a key k are (k & _LOW) + ((k >> _W) & _LOW), one
 # byte per site (see ``_check_multidegree``).
 _SITE_FIELDS = (1 << (2 * _W)) - 1
 _LOW = sum(_FIELD << (2 * _W * k) for k in range(4))
 
-_INDEX_TABLES = {
-    idx: _index_table(idx) for idx in (tuple((m >> k) & 1 for k in range(4)) for m in range(16))
+# Per index, the mask of both exponent fields of every index site: ``key &
+# _KEY_MASKS[idx]`` is the key's exponent pattern on the index sites.
+_KEY_MASKS = {
+    idx: sum(_SITE_FIELDS << (2 * _W * k) for k in range(4) if idx[k])
+    for idx in (tuple((m >> k) & 1 for k in range(4)) for m in range(16))
 }
+
+# (idx, pattern) -> ``_feed_table(idx, pattern)``, filled on first use and
+# kept for the process.
+_FEED_TABLES = {}
+
+
+def _feed_table(idx, pattern) -> tuple:
+    """The state-free part of what an rhs key with the index-site exponent
+    pattern ``pattern`` feeds under the index ``idx``: one (b, offset, +-f)
+    per amplitude index b with f != 0, in increasing (selector, b), where
+    the selector is the bits of b on the index sites.
+
+    By the per-site rule (``EvalSession._transvect_ground``), the offset is
+    +x_{k,b_k} on the other sites and -x_{k,1-b_k} on the index sites, f is
+    the product of the pattern's exponents of x_{k,1-b_k} over the index
+    sites, and the sign is -1 to the number of index sites with b_k = 1.
+    None of these read the state, so the table is built once per process,
+    on first use, and kept in ``_FEED_TABLES``: at most 730 (idx, pattern)
+    pairs for the catalog's terms, and the ground form's (0, 0, 0, 0), 0.
+    It is an immutable tuple, so threads that race on a pair only build an
+    equal table twice."""
+    table = _FEED_TABLES.get((idx, pattern))
+    if table is not None:
+        return table
+    mask = sum(1 << k for k in range(4) if idx[k])
+    rows = []
+    for b in sorted(range(16), key=lambda b: (b & mask, b)):
+        offset, f = 0, 1
+        for k in range(4):
+            bit = (b >> k) & 1
+            if idx[k]:
+                shift = _W * (2 * k + 1 - bit)
+                offset -= 1 << shift
+                f *= (pattern >> shift) & _FIELD
+                if bit:
+                    f = -f
+            else:
+                offset += 1 << (_W * (2 * k + bit))
+        if f:
+            rows.append((b, offset, f))
+    table = _FEED_TABLES[(idx, pattern)] = tuple(rows)
+    return table
 
 
 def _packed(multidegree) -> int:
@@ -370,31 +387,6 @@ def _check_multidegree(d: CovariantDef, value: dict) -> None:
     if degrees != {d.packed}:
         found = ", ".join(str(_unpacked(p)) for p in sorted(degrees))
         raise CatalogError(f"{cid}: evaluated multidegree {found} != declared {cid.multidegree}")
-
-
-def _pattern_feeds(entries, amps, pattern) -> tuple:
-    """The (offset, +-a_b * f) pairs that an rhs key with the exponent
-    pattern ``pattern`` feeds, over the ``entries`` of one index table and
-    the cleared amplitudes ``amps``, keeping those with a_b * f nonzero:
-    f is the product of the pattern's exponents of x_{k,1-b_k} over the
-    index sites, and the sign is -1 when ``odd`` (see
-    ``EvalSession._transvect_ground``).  f is computed once per run of
-    equal ``shifts``: f depends only on the index-site bits of b, and
-    entries with equal bits have equal shifts."""
-    feeds = []
-    last = None
-    for shifts, b, offset, odd in entries:
-        a = amps[b]
-        if not a:
-            continue
-        if shifts != last:
-            last = shifts
-            f = 1
-            for shift in shifts:
-                f *= (pattern >> shift) & _FIELD
-        if f:
-            feeds.append((offset, -a * f if odd else a * f))
-    return tuple(feeds)
 
 
 class EvalSession:
@@ -434,9 +426,11 @@ class EvalSession:
 
     The feeds memo (``_feeds``), the session's one kernel memo beside the
     values: per index and index-site exponent pattern, the (offset,
-    a_b * f) pairs the kernel adds for every rhs term of that pattern,
-    read from the index table and the cleared amplitudes
-    (``_pattern_feeds``).  Like the values it is the session's own.
+    +-a_b * f) pairs the kernel adds for every rhs term of that pattern,
+    the process-wide ``_feed_table`` of that pair with each +-f multiplied
+    by the cleared amplitude a_b, and the pairs with a_b = 0 left out.
+    The table holds only immutable, state-free tuples; the memo, like the
+    values, is the session's own.
 
     Float states: the memoized values are the exact integers
     lam_C * q^adeg * C, by the two inductions above, so the order in which
@@ -455,9 +449,9 @@ class EvalSession:
         self._amps = state.cleared
         self._unscaled = state.unscaled
         self._feeds = {}
-        # With no index site every sign is +1, in increasing b.
+        # With no index site every f is +1, in increasing b.
         self._values = {GROUND_ID: {
-            offset: a for _, b, offset, _ in _INDEX_TABLES[(0, 0, 0, 0)][0] if (a := self._amps[b])
+            offset: a for b, offset, _ in _feed_table((0, 0, 0, 0), 0) if (a := self._amps[b])
         }}
         self.min_margin = float("inf")
 
@@ -483,14 +477,15 @@ class EvalSession:
         d_k - m_k if b_k = 1.  So the term (key, c) of rhs and the amplitude
         a_b give a_b * f * c at key + offset_b, where f is the product of
         the exponents of x_{k,1-b_k} in key over the index sites, and
-        offset_b and the sign are those of ``_index_table``.
+        offset_b and the sign are those of ``_feed_table``.
 
         One loop over the terms of rhs.  f reads only the exponents of key
         at the index sites, ``key & key_mask``, so that pattern fixes the
         (offset_b, +-a_b * f) pairs for every b.  The session keeps them
-        per idx and pattern (``_pattern_feeds``, built on the first key of
-        the pattern), and each term adds a_b * f * coef * c at
-        key + offset_b straight into acc, coef being +1 or -1.  These are
+        per idx and pattern, built on the first key of the pattern from the
+        process-wide ``_feed_table`` and the cleared amplitudes, and each
+        term adds a_b * f * coef * c at key + offset_b straight into acc,
+        coef being +1 or -1.  These are
         the products of the Omega expansion summed in another order: exact
         sums do not depend on it, a sum that cancels stays in acc as a zero
         until ``_value`` drops it, and only the order of the keys in acc
@@ -499,13 +494,16 @@ class EvalSession:
         memo = self._feeds.get(idx)
         if memo is None:
             memo = self._feeds[idx] = {}
-        entries, key_mask = _INDEX_TABLES[idx]
+        key_mask = _KEY_MASKS[idx]
+        amps = self._amps
         get = acc.get
         for key, c in rhs.items():
             pattern = key & key_mask
             feeds = memo.get(pattern)
             if feeds is None:
-                feeds = memo[pattern] = _pattern_feeds(entries, self._amps, pattern)
+                feeds = memo[pattern] = tuple([
+                    (offset, a * f) for b, offset, f in _feed_table(idx, pattern) if (a := amps[b])
+                ])
             if coef != 1:
                 c = coef * c
             for offset, af in feeds:

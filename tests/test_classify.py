@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from entatlas import cli, invariants
+from entatlas import catalog, cli, invariants
 from entatlas.atlas import _flip_images
 from entatlas.catalog import VPRIME_IDS, EvalSession
 from entatlas.classify import (
@@ -437,7 +437,10 @@ def test_float_labels_keep_under_large_scales():
 def test_threads_classify_like_serial():
     """Four threads classifying the 48 nonzero normal forms and one SL2^4
     image of each give the serial labels: each call evaluates in its own
-    session, and nothing is shared between states."""
+    session, and what sessions share is the process-wide feed tables,
+    immutable state-free tuples.  The tables start empty, so the threads
+    race to fill them; a race only builds an equal tuple twice."""
+    catalog._FEED_TABLES.clear()
     states = []
     for label, rec in sorted(orbit_records().items()):
         if label:

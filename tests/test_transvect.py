@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from entatlas import catalog as catalog_module
 from entatlas.catalog import CovariantId
-from entatlas.poly import t, x
+from entatlas.poly import _exponents, _monomial_key, t, x
 from entatlas.qstate import (
     State,
     _sparse_image,
@@ -140,6 +141,49 @@ def test_ground_specialization_agrees(catalog):
                 assert got == transvect(A, X, idx).terms, (kind, cid, idx)
                 terms += 1
         assert terms == 293
+
+
+def _site_rule_table(idx, pattern) -> tuple:
+    """(b, offset, +-f) with f != 0, in increasing (bits of b on the index
+    sites, b), derived site by site from the Omega expansion: A's monomial
+    a_b * prod_k x_{k,b_k} loses x_{k,b_k} at every index site, where the
+    rhs loses x_{k,1-b_k} with its exponent as factor and sign -1 if
+    b_k = 1; at every other site the product gains x_{k,b_k}."""
+    exps = _exponents(pattern)
+    sites = [k for k in range(4) if idx[k]]
+    rows = []
+    for b in sorted(range(16), key=lambda b: ([(b >> k) & 1 for k in reversed(sites)], b)):
+        bits = [(b >> k) & 1 for k in range(4)]
+        offset = sum(_monomial_key({x(k + 1, bits[k]): 1}) for k in range(4) if not idx[k])
+        offset -= sum(_monomial_key({x(k + 1, 1 - bits[k]): 1}) for k in sites)
+        f = (-1) ** sum(bits[k] for k in sites)
+        for k in sites:
+            f *= exps[2 * k + 1 - bits[k]]
+        if f:
+            rows.append((b, offset, f))
+    return tuple(rows)
+
+
+def test_feed_tables_match_site_rule(catalog):
+    """The process-wide feed tables are state-free: the full catalog on
+    three generic states builds one table per (idx, pattern) pair that its
+    terms meet, 730, and the ground form's; a fourth state adds none; and
+    every table equals the per-site derivation, entries and order."""
+    tables = catalog_module._FEED_TABLES
+    tables.clear()
+    for seed in (1, 2, 3):
+        sess = catalog.session(random_state(seed))
+        for cid in catalog.order:
+            sess._value(cid)
+    assert len(tables) == 730 + 1
+    assert ((0, 0, 0, 0), 0) in tables
+    kept = dict(tables)
+    sess = catalog.session(random_state(4))
+    for cid in catalog.order:
+        sess._value(cid)
+    assert tables == kept
+    for (idx, pattern), table in tables.items():
+        assert table == _site_rule_table(idx, pattern), (idx, pattern)
 
 
 def test_equivariance_of_nullity(catalog):
